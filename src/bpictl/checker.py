@@ -101,15 +101,20 @@ def tarjan_scc(sub: StateSet, rel) -> SccPartition:
     return SccPartition(components=tuple(components), nontrivial=flags)
 
 
+def check_symbols(m: Model, f: Formula) -> None:
+    """Raise UndeclaredSymbolError for the least atom, else the least agent,
+    of f that m does not declare."""
+    missing = atoms_of(f).difference(m.atoms)
+    if missing:
+        raise UndeclaredSymbolError("atom", min(missing))
+    missing = agents_of(f).difference(m.agents)
+    if missing:
+        raise UndeclaredSymbolError("agent", min(missing))
+
+
 def eval_formula(m: Model, f: Formula) -> StateSet:
     """The set of states of m satisfying f, by the labeling algorithm."""
-    for p in atoms_of(f):
-        if p not in m.atoms:
-            raise UndeclaredSymbolError("atom", p)
-    for a in agents_of(f):
-        if a not in m.agents:
-            raise UndeclaredSymbolError("agent", a)
-
+    check_symbols(m, f)
     core = rewrite_derived(f)
     preds = {s: [] for s in range(m.n)}
     for (x, t) in m.temporal:
@@ -117,25 +122,26 @@ def eval_formula(m: Model, f: Formula) -> StateSet:
 
     labels: dict[Formula, frozenset] = {}
     for sub in _postorder(core):
-        if sub in labels:
-            continue
         labels[sub] = _eval_node(m, sub, labels, preds)
     return labels[core]
 
 
-def _postorder(f: Formula):
+def _postorder(f: Formula) -> list[Formula]:
+    """Distinct subformulas of f, each after its children; no recursion."""
     seen: set[Formula] = set()
     out: list[Formula] = []
-
-    def walk(g: Formula):
-        if g in seen:
-            return
-        seen.add(g)
-        for c in g.children():
-            walk(c)
-        out.append(g)
-
-    walk(f)
+    stack = [(f, False)]
+    while stack:
+        g, expanded = stack.pop()
+        if expanded:
+            out.append(g)
+        elif g not in seen:
+            seen.add(g)
+            stack.append((g, True))
+            if g.right is not None:
+                stack.append((g.right, False))
+            if g.left is not None:
+                stack.append((g.left, False))
     return out
 
 

@@ -84,6 +84,8 @@ def _cmd_sat(args) -> int:
     result = satbound.sat_search(f, max_states=args.max_states,
                                  budget=args.budget)
     closure, bound = satbound.closure_bound(f)
+    if len(closure) > 64:  # too many digits to be worth printing
+        bound = f"2^{len(closure)}"
     print(f"closure size {len(closure)}, theoretical model bound {bound}")
     if result.verdict == "sat":
         print(f"satisfiable, witness state {result.witness} "
@@ -115,6 +117,17 @@ def _looks_like_model(text: str) -> bool:
     return False
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "integer"  # named in argparse's "invalid integer value" message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bpictl",
@@ -139,15 +152,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("axioms", help="run the axiom soundness suite")
     p.add_argument("model")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pool", type=int, default=50,
+    p.add_argument("--pool", type=_int_at_least(1), default=50,
                    help="instantiations per schema")
     p.set_defaults(func=_cmd_axioms)
 
     p = sub.add_parser("sat", help="bounded satisfiability search")
     p.add_argument("formula")
-    p.add_argument("--max-states", type=int,
+    p.add_argument("--max-states", type=_int_at_least(1),
                    default=satbound.DEFAULT_MAX_STATES)
-    p.add_argument("--budget", type=int, default=satbound.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_int_at_least(0),
+                   default=satbound.DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_sat)
 
     p = sub.add_parser("fmt", help="reprint a formula or model canonically")

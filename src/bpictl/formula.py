@@ -3,25 +3,85 @@
 The core fragment is {atom, true, not, and, or, B, P, I, AX, EX, EF, EG, EU};
 implication, biconditional, desire, AG, AU and AF are derived operators that
 ``rewrite_derived`` eliminates bottom-up.
+
+Formulas are hash-consed (Filliâtre & Conchon, "Type-safe modular
+hash-consing", 2006): each distinct formula is one interned node, so
+structural equality is identity and hashing is O(1). A node lazily caches
+its core rewrite and its symbols. Every walk over a formula here is
+iterative, so nesting depth is bounded by memory, not by the interpreter's
+recursion limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
+from weakref import KeyedRef
+
+# (op, name, agent, left, right) -> weak reference to the one live node with
+# those fields. A node's entry goes when the node dies; the key keeps the
+# node's children alive, as the node itself does.
+_TABLE: dict[tuple, KeyedRef] = {}
 
 
-@dataclass(frozen=True)
+def _forget(ref: KeyedRef) -> None:
+    # A dead node's key may already name a newer node; keep that entry.
+    if _TABLE.get(ref.key) is ref:
+        del _TABLE[ref.key]
+
+
+# Value of a node's core cache when the node is its own core. Storing the
+# node itself would make it reference itself, which delays freeing it until
+# the cyclic garbage collector runs.
+_IS_CORE = object()
+
+
 class Formula:
-    """Immutable formula node. Compared and hashed structurally."""
+    """Immutable, interned formula node.
+
+    ``Formula(op, name, agent, left, right)`` returns the existing node with
+    those fields if one is alive, so structurally equal formulas are the
+    same object: ``==`` is identity and the hash is the object's id.
+    """
+
+    __slots__ = ("op", "name", "agent", "left", "right", "_core", "_symbols",
+                 "__weakref__")
 
     op: str
-    name: str | None = None      # atom name (op == 'atom')
-    agent: str | None = None     # agent of B/P/I/D modalities
-    left: "Formula | None" = None
-    right: "Formula | None" = None
+    name: str | None        # atom name (op == 'atom')
+    agent: str | None       # agent of B/P/I/D modalities
+    left: Formula | None
+    right: Formula | None
 
-    def children(self) -> Iterator["Formula"]:
+    def __new__(cls, op: str, name: str | None = None, agent: str | None = None,
+                left: Formula | None = None, right: Formula | None = None):
+        key = (op, name, agent, left, right)
+        ref = _TABLE.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        _set_op(node, op)
+        _set_name(node, name)
+        _set_agent(node, agent)
+        _set_left(node, left)
+        _set_right(node, right)
+        _set_core(node, None)
+        _set_symbols(node, None)
+        _TABLE[key] = KeyedRef(node, _forget, key)
+        return node
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"formula nodes are immutable (cannot set {attr!r})")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"formula nodes are immutable (cannot delete {attr!r})")
+
+    def __reduce__(self):
+        # unpickling and copying go through Formula(...), which re-interns
+        return (Formula, (self.op, self.name, self.agent, self.left, self.right))
+
+    def children(self) -> Iterator[Formula]:
         if self.left is not None:
             yield self.left
         if self.right is not None:
@@ -31,6 +91,16 @@ class Formula:
         from .textio import render_formula
 
         return f"<{render_formula(self)}>"
+
+
+# The slot descriptors write past the __setattr__ guard.
+_set_op = Formula.op.__set__
+_set_name = Formula.name.__set__
+_set_agent = Formula.agent.__set__
+_set_left = Formula.left.__set__
+_set_right = Formula.right.__set__
+_set_core = Formula._core.__set__
+_set_symbols = Formula._symbols.__set__
 
 
 # Constructor helpers.  Binary temporal operators take (left, right).
@@ -114,36 +184,77 @@ CORE_OPS = frozenset(
     {"atom", "true", "not", "and", "or", "B", "P", "I", "AX", "EX", "EF", "EG", "EU"}
 )
 
-MODAL_OPS = frozenset({"B", "P", "I", "D"})
+# Operators whose semantics read neighbourhood families (D rewrites to P).
+_NEIGHBOURHOOD_OPS = frozenset({"P", "I", "D"})
+
+
+def _fill(f: Formula, cache: str, compute) -> None:
+    """Fill the cache slot named `cache` of f and of every node below f that
+    lacks it, children first, with compute(node); no recursion."""
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if getattr(g, cache) is not None:
+            stack.pop()
+            continue
+        pending = [c for c in (g.left, g.right)
+                   if c is not None and getattr(c, cache) is None]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        compute(g)
 
 
 def is_core(f: Formula) -> bool:
-    return f.op in CORE_OPS and all(is_core(c) for c in f.children())
+    return all(g.op in CORE_OPS for g in subformulas(f))
 
 
 def rewrite_derived(f: Formula) -> Formula:
     """Eliminate derived operators, bottom-up. Idempotent on core formulas."""
-    kids = [rewrite_derived(c) for c in f.children()]
+    core = f._core
+    if core is None:
+        _fill(f, "_core", _rewrite_node)
+        core = f._core
+    return f if core is _IS_CORE else core
+
+
+def _core_of(f: Formula | None) -> Formula | None:
+    # only called once f's cache is filled
+    if f is None:
+        return None
+    core = f._core
+    return f if core is _IS_CORE else core
+
+
+def _au(a: Formula, b: Formula) -> Formula:
+    return And(Not(EU(Not(b), And(Not(a), Not(b)))), Not(EG(Not(b))))
+
+
+def _rewrite_node(f: Formula) -> None:
+    """Set f's core cache from the cores of its children."""
     op = f.op
+    a, b = _core_of(f.left), _core_of(f.right)
     if op == "imp":
-        return Or(Not(kids[0]), kids[1])
-    if op == "iff":
-        a, b = kids
-        return And(Or(Not(a), b), Or(Not(b), a))
-    if op == "D":
-        return And(P(f.agent, kids[0]), B(f.agent, Not(kids[0])))
-    if op == "AG":
-        return Not(EF(Not(kids[0])))
-    if op == "AU":
-        a, b = kids
-        return And(Not(EU(Not(b), And(Not(a), Not(b)))), Not(EG(Not(b))))
-    if op == "AF":
-        return rewrite_derived(AU(TRUE, kids[0]))
-    if not kids:
-        return f
-    if op in MODAL_OPS or op in ("not", "AX", "EX", "EF", "EG"):
-        return Formula(op, agent=f.agent, left=kids[0])
-    return Formula(op, left=kids[0], right=kids[1])
+        core = Or(Not(a), b)
+    elif op == "iff":
+        core = And(Or(Not(a), b), Or(Not(b), a))
+    elif op == "D":
+        core = And(P(f.agent, a), B(f.agent, Not(a)))
+    elif op == "AG":
+        core = Not(EF(Not(a)))
+    elif op == "AU":
+        core = _au(a, b)
+    elif op == "AF":
+        core = _au(TRUE, a)
+    elif a is f.left and b is f.right:
+        _set_core(f, _IS_CORE)
+        return
+    else:
+        core = Formula(op, f.name, f.agent, a, b)
+    _set_core(f, core)
+    if core._core is None:
+        _set_core(core, _IS_CORE)
 
 
 def subformulas(f: Formula) -> frozenset[Formula]:
@@ -165,9 +276,57 @@ def subformula_closure(f: Formula) -> frozenset[Formula]:
     return subs | {Not(g) for g in subs}
 
 
+_NO_NAMES: frozenset[str] = frozenset()
+
+
+def _union(x: frozenset, y: frozenset) -> frozenset:
+    # reuse a set when it already holds the other, so chains share one set
+    if y <= x:
+        return x
+    if x <= y:
+        return y
+    return x | y
+
+
+def _symbols_node(f: Formula) -> None:
+    """Set f's (atoms, agents, mentions P/I/D) cache from its children's."""
+    op = f.op
+    if op == "atom":
+        symbols = (frozenset((f.name,)), _NO_NAMES, False)
+    elif f.left is None:
+        symbols = (_NO_NAMES, _NO_NAMES, False)
+    else:
+        symbols = f.left._symbols
+        if f.right is not None:
+            right = f.right._symbols
+            if right is not symbols:
+                symbols = (_union(symbols[0], right[0]), _union(symbols[1], right[1]),
+                           symbols[2] or right[2])
+        if f.agent is not None:
+            atoms, agents, neighbourhood = symbols
+            if f.agent not in agents or (op in _NEIGHBOURHOOD_OPS and not neighbourhood):
+                symbols = (atoms, agents | {f.agent},
+                           neighbourhood or op in _NEIGHBOURHOOD_OPS)
+    _set_symbols(f, symbols)
+
+
+def _symbols(f: Formula) -> tuple:
+    symbols = f._symbols
+    if symbols is None:
+        _fill(f, "_symbols", _symbols_node)
+        symbols = f._symbols
+    return symbols
+
+
 def atoms_of(f: Formula) -> frozenset[str]:
-    return frozenset(g.name for g in subformulas(f) if g.op == "atom")
+    return _symbols(f)[0]
 
 
 def agents_of(f: Formula) -> frozenset[str]:
-    return frozenset(g.agent for g in subformulas(f) if g.agent is not None)
+    return _symbols(f)[1]
+
+
+def mentions_neighbourhood(f: Formula) -> bool:
+    """Whether f uses P, I or D, i.e. whether its core reads preference or
+    intention families."""
+    return _symbols(f)[2]

@@ -93,10 +93,6 @@ def _indices(m: Model, value):
     return m.index(value)
 
 
-def _bsucc(m: Model, agent: str):
-    return [m.belief_successors(agent, s) for s in range(m.n)]
-
-
 def _cap(name: str, n: int) -> None:
     if name in _ONE_SET_QUANT and n > MAX_STATES_ONE_SET:
         raise ConditionSkipped(name, f"{n} states exceeds cap {MAX_STATES_ONE_SET}")

@@ -2,23 +2,15 @@
 
 Evaluates core formulas by direct set enumeration and naive fixpoint
 iteration. Deliberately independent of the labeling algorithm in
-``checker`` so the two can cross-validate; optimizes for obvious
-correctness, not speed.
+``checker`` so the two can cross-validate (only the undeclared-symbol
+check is shared); optimizes for obvious correctness, not speed.
 """
 
 from __future__ import annotations
 
-from .formula import EU, TRUE, Formula, agents_of, atoms_of, rewrite_derived
-from .model import Model, StateSet, UndeclaredSymbolError
-
-
-def _check_symbols(m: Model, f: Formula) -> None:
-    for p in atoms_of(f):
-        if p not in m.atoms:
-            raise UndeclaredSymbolError("atom", p)
-    for a in agents_of(f):
-        if a not in m.agents:
-            raise UndeclaredSymbolError("agent", a)
+from .checker import check_symbols
+from .formula import EU, TRUE, Formula, rewrite_derived
+from .model import Model, StateSet
 
 
 def ev_exists_next(temporal, ss: StateSet, n: int) -> StateSet:
@@ -48,7 +40,7 @@ def ev_globally(temporal, hold: StateSet, n: int) -> StateSet:
 
 def denote(m: Model, f: Formula) -> StateSet:
     """The set of states of m satisfying f."""
-    _check_symbols(m, f)
+    check_symbols(m, f)
     return _den(m, rewrite_derived(f), {})
 
 

@@ -25,7 +25,14 @@ import itertools
 from dataclasses import dataclass
 
 from .checker import eval_formula
-from .formula import Formula, agents_of, atoms_of, rewrite_derived, subformula_closure
+from .formula import (
+    Formula,
+    agents_of,
+    atoms_of,
+    mentions_neighbourhood,
+    rewrite_derived,
+    subformula_closure,
+)
 from .frames import validate_model
 from .model import Model, powerset
 
@@ -89,7 +96,7 @@ def sat_search(
     core = rewrite_derived(f)
     atoms = tuple(sorted(atoms_of(core))) or ("p",)
     agents = tuple(sorted(agents_of(core))) or ("a",)
-    needs_families = _mentions_neighbourhood(core)
+    needs_families = mentions_neighbourhood(core)
     _, bound = closure_bound(f)
 
     explored = 0
@@ -131,12 +138,6 @@ def sat_search(
                     witness = m.states[min(verified)]
                     return SatResult("sat", m, witness, explored, bound, max_states)
     return SatResult("unsat-up-to", None, None, explored, bound, max_states)
-
-
-def _mentions_neighbourhood(core: Formula) -> bool:
-    if core.op in ("P", "I"):
-        return True
-    return any(_mentions_neighbourhood(c) for c in core.children())
 
 
 def _belief_and_families(agents, n: int, needs_families: bool):

@@ -302,11 +302,15 @@ def _formula_pool(atoms, agents):
     return pool
 
 
-def binding_pool(schema_id: str, atoms, agents, seed: int, count: int = 50):
-    """Deterministic list of `count` metavariable bindings for one schema."""
+def binding_pool(schema_id: str, atoms, agents, seed: int, count: int = 50,
+                 formulas=None):
+    """Deterministic list of `count` metavariable bindings for one schema.
+    `formulas` is the formula pool of atoms and agents, when the caller has
+    already built it."""
     _, _, needed = SCHEMAS[schema_id]
     rng = random.Random(f"{seed}:{schema_id}")
-    formulas = _formula_pool(tuple(atoms), tuple(agents))
+    if formulas is None:
+        formulas = _formula_pool(tuple(atoms), tuple(agents))
     agents = tuple(agents)
     combos = []
     for tup in itertools.product(formulas, repeat=len(needed)):
@@ -433,9 +437,11 @@ def run_suite(models, seed: int = 0, bindings_per_schema: int = 50):
                 f"{report.violations or report.skipped}"
             )
     for mid, m in enumerate(models):
+        formulas = _formula_pool(tuple(m.atoms), tuple(m.agents))
         for schema_id in SCHEMA_IDS:
             pool = binding_pool(
-                schema_id, m.atoms, m.agents, seed, bindings_per_schema
+                schema_id, m.atoms, m.agents, seed, bindings_per_schema,
+                formulas=formulas,
             )
             for bid, binding in enumerate(pool):
                 inst = instantiate(schema_id, binding)

@@ -7,6 +7,7 @@ rendered file is byte-identical.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ class ParseError(ValueError):
 
 
 RESERVED = frozenset({"true", "AX", "EX", "EF", "EG", "AG", "AF"})
-_AGENT_MODS = frozenset({"B", "P", "I", "D"})
+_AGENT_MODS = {"B": F.B, "P": F.P, "I": F.I, "D": F.D}
 _UNARY_MODS = {"AX": F.AX, "EX": F.EX, "EF": F.EF, "EG": F.EG, "AG": F.AG, "AF": F.AF}
 
 _TOKEN_RE = re.compile(
@@ -101,92 +102,125 @@ class _FormulaParser:
         tok = self.peek()
         return tok.kind == "sym" and tok.text == sym
 
-    # formula := imp ("<->" imp)*    (left-assoc)
-    def parse_formula(self) -> Formula:
-        left = self.parse_imp()
-        while self.at_sym("<->"):
-            self.next()
-            left = F.Iff(left, self.parse_imp())
-        return left
+    def parse(self) -> Formula:
+        """Operator-precedence parse of a whole formula with explicit stacks,
+        so nesting depth is bounded by memory, not by the recursion limit.
 
-    # imp := or ("->" imp)?          (right-assoc)
-    def parse_imp(self) -> Formula:
-        left = self.parse_or()
-        if self.at_sym("->"):
-            self.next()
-            return F.Imp(left, self.parse_imp())
-        return left
+        Grammar, loosest first::
 
-    def parse_or(self) -> Formula:
-        left = self.parse_and()
-        while self.at_sym("|"):
-            self.next()
-            left = F.Or(left, self.parse_and())
-        return left
+            formula := imp ("<->" imp)*          left-assoc
+            imp     := or ("->" imp)?            right-assoc
+            or      := and ("|" and)*
+            and     := unary ("&" unary)*
+            unary   := "!" unary | "(" formula ")" | "true" | atom
+                     | AX/EX/EF/EG/AG/AF unary | B/P/I/D "{" agent "}" unary
+                     | ("E" | "A") "[" formula "U" formula "]"
+        """
+        operands: list[Formula] = []
+        # Pending prefix operators, binary operators and open groups,
+        # innermost last: ("prefix", ctor), ("binary", prec, ctor), ("(",),
+        # and ("[", ctor) before the 'U' of E[..U..] / A[..U..], ("U", ctor) after.
+        pending: list[tuple] = []
+        while True:
+            operands.append(self._operand(pending))
+            while True:
+                tok = self.peek()
+                if tok.kind == "sym" and tok.text in _BINARY_OPS:
+                    prec, ctor = _BINARY_OPS[tok.text]
+                    _reduce(pending, operands, prec)
+                    self.next()
+                    pending.append(("binary", prec, ctor))
+                    break
+                _reduce(pending, operands, 0)
+                group = pending[-1][0] if pending else None
+                if group == "(":
+                    self.expect_sym(")")
+                    pending.pop()
+                elif group == "[":
+                    if tok.kind != "ident" or tok.text != "U":
+                        self.error(f"found {tok.text!r}", expected="'U'")
+                    self.next()
+                    pending[-1] = ("U", pending[-1][1])
+                    break
+                elif group == "U":
+                    self.expect_sym("]")
+                    ctor = pending.pop()[1]
+                    right = operands.pop()
+                    operands.append(ctor(operands.pop(), right))
+                elif tok.kind != "eof":
+                    self.error(f"trailing input {tok.text!r}", expected="end of input")
+                else:
+                    return operands.pop()
 
-    def parse_and(self) -> Formula:
-        left = self.parse_unary()
-        while self.at_sym("&"):
+    def _operand(self, pending: list) -> Formula:
+        """Consume prefix operators and open groups onto `pending` up to the
+        next atom or constant, and return that."""
+        while True:
+            tok = self.peek()
+            if self.at_sym("!"):
+                self.next()
+                pending.append(("prefix", F.Not))
+                continue
+            if self.at_sym("("):
+                self.next()
+                pending.append(("(",))
+                continue
+            if tok.kind != "ident":
+                self.error(f"found {tok.text!r}" if tok.kind != "eof" else "unexpected end of input",
+                           expected="a formula")
+            if tok.text == "true":
+                self.next()
+                return F.TRUE
+            if tok.text in _UNARY_MODS:
+                self.next()
+                pending.append(("prefix", _UNARY_MODS[tok.text]))
+                continue
+            if tok.text in _AGENT_MODS and self._next_is_sym("{"):
+                self.next()
+                self.next()  # '{'
+                agent_tok = self.peek()
+                if agent_tok.kind != "ident":
+                    self.error("empty or malformed agent braces", expected="an agent name")
+                self.next()
+                self.expect_sym("}")
+                pending.append(("prefix", functools.partial(
+                    _AGENT_MODS[tok.text], agent_tok.text)))
+                continue
+            if tok.text in ("E", "A") and self._next_is_sym("["):
+                self.next()
+                self.next()  # '['
+                pending.append(("[", F.EU if tok.text == "E" else F.AU))
+                continue
             self.next()
-            left = F.And(left, self.parse_unary())
-        return left
-
-    def parse_unary(self) -> Formula:
-        tok = self.peek()
-        if self.at_sym("!"):
-            self.next()
-            return F.Not(self.parse_unary())
-        if self.at_sym("("):
-            self.next()
-            inner = self.parse_formula()
-            self.expect_sym(")")
-            return inner
-        if tok.kind != "ident":
-            self.error(f"found {tok.text!r}" if tok.kind != "eof" else "unexpected end of input",
-                       expected="a formula")
-        if tok.text == "true":
-            self.next()
-            return F.TRUE
-        if tok.text in _UNARY_MODS:
-            self.next()
-            return _UNARY_MODS[tok.text](self.parse_unary())
-        if tok.text in _AGENT_MODS and self._next_is_sym("{"):
-            ctor = {"B": F.B, "P": F.P, "I": F.I, "D": F.D}[tok.text]
-            self.next()
-            self.next()  # '{'
-            agent_tok = self.peek()
-            if agent_tok.kind != "ident":
-                self.error("empty or malformed agent braces", expected="an agent name")
-            self.next()
-            self.expect_sym("}")
-            return ctor(agent_tok.text, self.parse_unary())
-        if tok.text in ("E", "A") and self._next_is_sym("["):
-            ctor = F.EU if tok.text == "E" else F.AU
-            self.next()
-            self.next()  # '['
-            f1 = self.parse_formula()
-            utok = self.peek()
-            if utok.kind != "ident" or utok.text != "U":
-                self.error(f"found {utok.text!r}", expected="'U'")
-            self.next()
-            f2 = self.parse_formula()
-            self.expect_sym("]")
-            return ctor(f1, f2)
-        self.next()
-        return F.Atom(tok.text)
+            return F.Atom(tok.text)
 
     def _next_is_sym(self, sym: str) -> bool:
         nxt = self.tokens[self.pos + 1]
         return nxt.kind == "sym" and nxt.text == sym
 
 
+# Binary operators: (precedence, constructor); '->' is the one right-assoc.
+_BINARY_OPS = {"<->": (1, F.Iff), "->": (2, F.Imp), "|": (3, F.Or), "&": (4, F.And)}
+_IMP_PREC = _BINARY_OPS["->"][0]
+
+
+def _reduce(pending: list, operands: list, prec: int) -> None:
+    """Apply the pending operators that bind tighter than a binary operator
+    of precedence prec (all of them, up to the innermost group, for 0)."""
+    while pending:
+        top = pending[-1]
+        if top[0] == "prefix":
+            operands.append(top[1](operands.pop()))
+        elif top[0] == "binary" and (top[1] > prec or (top[1] == prec and prec != _IMP_PREC)):
+            right = operands.pop()
+            operands.append(top[2](operands.pop(), right))
+        else:
+            return
+        pending.pop()
+
+
 def parse_formula(text: str) -> Formula:
-    parser = _FormulaParser(_tokenize(text))
-    f = parser.parse_formula()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        parser.error(f"trailing input {tok.text!r}", expected="end of input")
-    return f
+    return _FormulaParser(_tokenize(text)).parse()
 
 
 # Rendering. Precedence levels: iff=1, imp=2, or=3, and=4, unary=5.
@@ -194,29 +228,41 @@ _BIN = {"iff": (1, "<->", 1, 2), "imp": (2, "->", 3, 2), "or": (3, "|", 3, 4), "
 
 
 def render_formula(f: Formula) -> str:
-    return _render(f, 0)
-
-
-def _render(f: Formula, min_prec: int) -> str:
-    op = f.op
-    if op == "atom":
-        return f.name
-    if op == "true":
-        return "true"
-    if op in _BIN:
-        prec, sym, lp, rp = _BIN[op]
-        text = f"{_render(f.left, lp)} {sym} {_render(f.right, rp)}"
-        return f"({text})" if prec < min_prec else text
-    if op == "not":
-        return "!" + _render(f.left, 5)
-    if op in ("AX", "EX", "EF", "EG", "AG", "AF"):
-        return f"{op} {_render(f.left, 5)}"
-    if op in ("B", "P", "I", "D"):
-        return f"{op}{{{f.agent}}} {_render(f.left, 5)}"
-    if op in ("EU", "AU"):
-        head = "E" if op == "EU" else "A"
-        return f"{head}[{_render(f.left, 0)} U {_render(f.right, 0)}]"
-    raise ValueError(f"unknown operator {op!r}")
+    out: list[str] = []
+    # (formula, minimum precedence) items to render, or literal text
+    stack: list = [(f, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        g, min_prec = item
+        op = g.op
+        if op == "atom":
+            out.append(g.name)
+        elif op == "true":
+            out.append("true")
+        elif op in _BIN:
+            prec, sym, lp, rp = _BIN[op]
+            if prec < min_prec:
+                out.append("(")
+                stack.append(")")
+            stack += [(g.right, rp), f" {sym} ", (g.left, lp)]
+        elif op == "not":
+            out.append("!")
+            stack.append((g.left, 5))
+        elif op in ("AX", "EX", "EF", "EG", "AG", "AF"):
+            out.append(f"{op} ")
+            stack.append((g.left, 5))
+        elif op in ("B", "P", "I", "D"):
+            out.append(f"{op}{{{g.agent}}} ")
+            stack.append((g.left, 5))
+        elif op in ("EU", "AU"):
+            out.append("E[" if op == "EU" else "A[")
+            stack += ["]", (g.right, 0), " U ", (g.left, 0)]
+        else:
+            raise ValueError(f"unknown operator {op!r}")
+    return "".join(out)
 
 
 # Model files. Line-oriented; see parse_model for the layout.
@@ -291,7 +337,7 @@ def parse_model(text: str) -> Model:
             err(lineno, col, f"undeclared {kind} {name!r}")
         return name
 
-    def parse_arrow(toks, lineno, start, kind_left="state"):
+    def parse_arrow(toks, lineno, start):
         if len(toks) != start + 3 or toks[start + 1][0] != "->":
             col = toks[min(start + 1, len(toks) - 1)][1]
             err(lineno, col, "malformed relation line", expected="'<state> -> <state>'")
@@ -330,6 +376,9 @@ def parse_model(text: str) -> Model:
         elif head == "RX":
             rx.add(parse_arrow(toks, lineno, 1))
         elif head == "RB":
+            if len(toks) < 2:
+                err(lineno, headcol, "malformed RB line",
+                    expected="'RB <agent> <state> -> <state>'")
             agent = check("agent", toks[1][0], lineno, toks[1][1])
             rb[agent].add(parse_arrow(toks, lineno, 2))
         elif head in ("RP", "RI"):

@@ -129,3 +129,42 @@ def test_usage_error_exit(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["axioms", "MODEL", "--pool", "0"],
+    ["axioms", "MODEL", "--pool", "-3"],
+    ["sat", "p", "--max-states", "0"],
+    ["sat", "p", "--max-states", "-1"],
+    ["sat", "p", "--budget", "-1"],
+])
+def test_out_of_range_arguments_are_usage_errors(model_file, argv, capsys):
+    argv = [model_file if a == "MODEL" else a for a in argv]
+    assert run(argv) == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+def test_zero_budget_aborts(capsys):
+    assert run(["sat", "p", "--budget", "0"]) == 3
+
+
+@pytest.fixture(scope="module")
+def deep_formula_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("deep") / "deep.bpi"
+    path.write_text("!" * 100_000 + "p\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, codes", [
+    (["check", "MODEL", "FORMULA"], (0, 1)),
+    (["check", "--valid", "MODEL", "FORMULA"], (0, 1)),
+    (["fmt", "FORMULA"], (0,)),
+    (["sat", "FORMULA", "--max-states", "1", "--budget", "1"], (0, 1, 3)),
+])
+def test_deep_formula_file(model_file, deep_formula_file, argv, codes, capsys):
+    names = {"MODEL": model_file, "FORMULA": deep_formula_file}
+    assert run([names.get(a, a) for a in argv]) in codes
+    out, err = capsys.readouterr()
+    assert err == ""
+    if argv[0] == "fmt":
+        assert out == "!" * 100_000 + "p\n"

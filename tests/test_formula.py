@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -47,7 +49,7 @@ def test_rewrite_is_idempotent_and_core():
         f = random_formula(rng, ("p", "q"), ("a", "b"), depth=4)
         core = rewrite_derived(f)
         assert is_core(core)
-        assert rewrite_derived(core) == core
+        assert rewrite_derived(core) is core
 
 
 def test_rewrite_preserves_meaning():
@@ -94,3 +96,26 @@ def test_atoms_and_agents():
     f = F.And(F.B("a", F.Atom("p")), F.I("b", F.Atom("q")))
     assert F.atoms_of(f) == {"p", "q"}
     assert F.agents_of(f) == {"a", "b"}
+
+
+def test_structurally_equal_formulas_are_one_node():
+    assert F.Not(F.Atom("p")) is F.Not(F.Atom("p"))
+    assert F.Formula("B", agent="a", left=F.TRUE) is F.B("a", F.TRUE)
+    assert F.Atom("p") is not F.Atom("q")
+    with pytest.raises(AttributeError):
+        F.Atom("p").name = "q"
+
+
+def test_pickle_and_deepcopy_keep_identity():
+    f = F.AU(F.D("a", F.Atom("p")), F.Not(F.TRUE))
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert copy.deepcopy(f) is f
+    assert copy.copy(f) is f
+
+
+def test_symbols_and_neighbourhood_are_cached_per_node():
+    f = F.And(F.D("a", F.Atom("p")), F.B("b", F.Atom("q")))
+    assert F.atoms_of(f) is F.atoms_of(f)
+    assert F.mentions_neighbourhood(f)
+    assert F.mentions_neighbourhood(rewrite_derived(f))
+    assert not F.mentions_neighbourhood(F.B("a", F.EX(F.Atom("p"))))

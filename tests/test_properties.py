@@ -53,14 +53,14 @@ def models(draw):
 
 @given(formulas)
 def test_formula_roundtrip(f):
-    assert parse_formula(render_formula(f)) == f
+    assert parse_formula(render_formula(f)) is f
 
 
 @given(formulas)
 def test_rewrite_core_and_idempotent(f):
     core = rewrite_derived(f)
     assert is_core(core)
-    assert rewrite_derived(core) == core
+    assert rewrite_derived(core) is core
 
 
 @given(formulas)

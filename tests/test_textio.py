@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import pytest
 
@@ -63,6 +64,21 @@ def test_parse_errors_carry_position(bad, line, col):
     assert exc.value.column == col
 
 
+@pytest.mark.parametrize("bad, expected", [
+    ("p &", "a formula"),
+    ("(p", "')'"),
+    ("B{} p", "an agent name"),
+    ("E[p q]", "'U'"),
+    ("E[p U q", "']'"),
+    ("p q", "end of input"),
+    ("p @ q", None),
+])
+def test_parse_errors_name_what_was_expected(bad, expected):
+    with pytest.raises(ParseError) as exc:
+        parse_formula(bad)
+    assert exc.value.expected == expected
+
+
 def test_reserved_words_not_atoms():
     # AX alone is an operator missing its argument, not an atom
     with pytest.raises(ParseError):
@@ -73,7 +89,7 @@ def test_formula_roundtrip_random():
     rng = random.Random(3)
     for _ in range(400):
         f = random_formula(rng, ("p", "q", "r"), ("a", "b"), depth=4)
-        assert parse_formula(render_formula(f)) == f
+        assert parse_formula(render_formula(f)) is f
 
 
 def test_render_is_stable():
@@ -127,6 +143,7 @@ def test_model_duplicate_edges_collapse():
     "states s0\natoms p\nagents a\nlabel s0 = []\nRB b s0 -> s0",
     "states s0\natoms p\nagents a\nlabel s0 = []\nRP a s0 = { s0",
     "states s0 s0\natoms p\nagents a\nlabel s0 = []",
+    "states s0\natoms p\nagents a\nlabel s0 = []\nRB",           # no agent
 ])
 def test_model_parse_errors(bad):
     with pytest.raises(ParseError):
@@ -139,3 +156,23 @@ def test_model_render_canonical_ordering():
     rx = [l for l in lines if l.startswith("RX")]
     assert rx == sorted(rx)
     assert text.endswith("\n")
+
+
+DEPTH = 100_000
+
+
+@pytest.mark.parametrize("text", [
+    "!" * DEPTH + "p",
+    "(" * DEPTH + "p" + ")" * DEPTH,
+    "p -> " * DEPTH + "p",
+], ids=["not-chain", "parens", "imp-chain"])
+def test_deep_formula_roundtrip_and_free(text):
+    from bpictl.checker import eval_formula
+
+    f = parse_formula(text)
+    eval_formula(example_model(), f)
+    again = parse_formula(render_formula(f))
+    assert again is f
+    ref = weakref.ref(f)
+    del f, again
+    assert ref() is None
