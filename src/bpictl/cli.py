@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 affirmative, 1 negative, 2 usage or parse error, 3 aborted
-(search budget or enumeration cap hit).
+(search budget or enumeration cap hit), 4 internal error (an unexpected
+exception, reported on stderr).
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import checker, frames, oracle, satbound, soundness, textio
+from . import checker, frames, oracle, satbound, textio
 from .model import ModelError, UndeclaredSymbolError
 from .textio import ParseError
 
@@ -18,6 +19,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_ABORTED = 3
+EXIT_INTERNAL = 4
 
 
 def _read_formula(arg: str):
@@ -65,6 +67,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
+    from . import soundness  # imported on use: no other command runs the suite
+
     m = _read_model(args.model)
     report = frames.validate_model(m)
     if not report.passed:
@@ -191,6 +195,9 @@ def run(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a bug: keep it apart from the verdict codes
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

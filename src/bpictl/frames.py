@@ -1,45 +1,32 @@
 """Frame-condition validation.
 
 Each catalogued side condition on the belief relation, the preference and
-intention neighbourhoods and the temporal relation is evaluated literally,
-with set quantifiers ranging over the full powerset of states (the admissible
-set family is the powerset for finite models). Conditions whose powerset
-enumeration would blow up are reported as skipped, never silently passed.
+intention neighbourhoods and the temporal relation is checked on the model's
+bitmask view ``Model.masks`` (bit i is state i, a state set is an int). Set
+quantifiers range over the full powerset of states (the admissible set
+family is the powerset for finite models). Each condition's finder visits
+only bindings that can falsify it and argues in a comment why every binding
+it skips makes the condition's hypothesis false; ``tests/frames_reference``
+holds the literal quantifiers it is tested against. Conditions whose state
+count exceeds their cap are reported as skipped, never silently passed.
 
-Every violation stores the witness binding that falsifies the condition;
-``recheck`` re-evaluates the condition body on that binding.
+Violations come in a canonical order: by agent in declared order, then by
+the binding in witness order (``x`` first), states by index and sets by
+mask, ascending. Every violation stores the witness binding that falsifies
+the condition; ``recheck`` tests that binding again.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
-from .model import Model, compose, powerset, reflexive_transitive_closure
-from .oracle import ev_exists_next, ev_globally, ev_until
+from .model import Model, bits, mask_of
 
-CONDITION_NAMES = (
-    "B3", "B4", "B5",
-    "P1", "P2", "P3", "P4",
-    "BP1", "BP2", "BP3", "BP4", "BP5",
-    "BI1", "BI2", "BI3", "BI4", "BI5",
-    "BPIEF1a", "BPIEF1b", "BPIEF1c",
-    "BX1", "BX2",
-)
-
-# Conditions quantifying over one arbitrary state set enumerate 2^n sets;
+# Conditions quantifying over one arbitrary state set range over 2^n sets;
 # over two, 4^n pairs. Caps keep the literal semantics while bounding runtime.
-_TWO_SET_QUANT = frozenset({"P1", "P2", "P4", "BP1", "BI1"})
-_ONE_SET_QUANT = frozenset(
-    {"P3", "BP2", "BP3", "BP4", "BP5", "BI2", "BI3", "BI4", "BI5",
-     "BPIEF1a", "BPIEF1c", "BX2"}
-)
 MAX_STATES_ONE_SET = 16
 MAX_STATES_TWO_SET = 10
-
-POWERSET = "powerset"  # marker for an admissible family equal to 2^S
-
-DA_CAP = 4096  # largest explicit admissible family we enumerate pairs over
 
 
 class ConditionSkipped(Exception):
@@ -78,381 +65,330 @@ class ValidationReport:
         return not self.violations and not self.skipped
 
 
-# Binding values are index-level inside the evaluators: ints for states,
-# frozensets of ints for sets. Violations store them at name level.
+# Binding values are index-level inside the checks: ints for states, int
+# masks for sets (the variables named Q...). Violations store them at name
+# level.
 
-def _names(m: Model, value):
-    if isinstance(value, frozenset):
-        return tuple(m.states[i] for i in sorted(value))
+def _names(m: Model, var: str, value: int):
+    if var.startswith("Q"):
+        return tuple(m.states[i] for i in bits(value))
     return m.states[value]
 
 
 def _indices(m: Model, value):
     if isinstance(value, tuple):
-        return frozenset(m.index(s) for s in value)
+        return mask_of(m.index(s) for s in value)
     return m.index(value)
 
 
-def _cap(name: str, n: int) -> None:
-    if name in _ONE_SET_QUANT and n > MAX_STATES_ONE_SET:
-        raise ConditionSkipped(name, f"{n} states exceeds cap {MAX_STATES_ONE_SET}")
-    if name in _TWO_SET_QUANT and n > MAX_STATES_TWO_SET:
-        raise ConditionSkipped(name, f"{n} states exceeds cap {MAX_STATES_TWO_SET}")
+def _cap(name: str, variables: list, n: int) -> None:
+    set_quantifiers = sum(var.startswith("Q") for var in variables)
+    cap = {1: MAX_STATES_ONE_SET, 2: MAX_STATES_TWO_SET}.get(set_quantifiers)
+    if cap is not None and n > cap:
+        raise ConditionSkipped(name, f"{n} states exceeds cap {cap}")
 
 
-# --- condition bodies ------------------------------------------------------
-# Each takes (m, agent, binding) and evaluates the printed instance; the
-# enumerators below only choose which bindings are worth evaluating (any
-# binding they skip makes the condition's hypothesis false).
-
-def _holds_B3(m, a, b):
-    rel = m.belief[a]
-    return not ((b["x"], b["y"]) in rel and (b["y"], b["z"]) in rel) or (b["x"], b["z"]) in rel
+def _submasks(mask: int) -> list:
+    """Every subset of mask, ascending."""
+    out = [0]
+    for i in bits(mask):
+        out += [t | 1 << i for t in out]
+    return out
 
 
-def _holds_B4(m, a, b):
-    rel = m.belief[a]
-    return not ((b["x"], b["y"]) in rel and (b["x"], b["z"]) in rel) or (b["y"], b["z"]) in rel
+def _per_state(keys, solve):
+    """(x, *binding) for every binding solve(key) gives for x's key. A
+    condition whose violations at x depend on x only through its key solves
+    each distinct key once."""
+    memo = {}
+    for x, key in enumerate(keys):
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = solve(key)
+        for binding in found:
+            yield (x, *binding)
 
 
-def _holds_B5(m, a, b):
-    return any((b["x"], y) in m.belief[a] for y in range(m.n))
+# --- conditions --------------------------------------------------------------
+# Each finder, find(mk, agent), yields every violating binding of its
+# condition: a tuple of the witness values in witness order. mk is the
+# model's mask view; fam[x] is the agent's preference or intention family
+# at x and S the belief successors of x.
+
+def _find_B3(mk, a):
+    # Only a successor z of a successor y of x can break transitivity.
+    succ = mk.belief[a]
+    for x in range(mk.n):
+        for y in bits(succ[x]):
+            for z in bits(succ[y] & ~succ[x]):
+                yield x, y, z
 
 
-def _holds_P1(m, a, b):
-    fam = m.pref[a][b["x"]]
-    return not (b["Q1"] in fam and b["Q2"] in fam) or (b["Q1"] & b["Q2"]) in fam
+def _find_B4(mk, a):
+    # The hypothesis needs y and z in S.
+    succ = mk.belief[a]
+    for x in range(mk.n):
+        for y in bits(succ[x]):
+            for z in bits(succ[x] & ~succ[y]):
+                yield x, y, z
 
 
-def _holds_P2(m, a, b):
-    fam = m.pref[a][b["x"]]
-    q1, q2 = b["Q1"], b["Q2"]
-    return not (q1 in fam and ((m.universe - q1) | q2) in fam) or q2 in fam
+def _find_B5(mk, a):
+    for x, s in enumerate(mk.belief[a]):
+        if not s:
+            yield (x,)
 
 
-def _holds_P3(m, a, b):
-    fam_at = m.pref[a]
-    q = b["Q"]
-    image = frozenset(y for y in range(m.n) if q in fam_at[y])
-    return not (image in fam_at[b["x"]]) or q in fam_at[b["x"]]
-
-
-def _holds_P4(m, a, b):
-    fam_at = m.pref[a]
-    x, q1, q2 = b["x"], b["Q1"], b["Q2"]
-    if q1 not in fam_at[x]:
-        return True
-    return any(
-        (q2 not in fam_at[x]) or (y in q2 and q1 in fam_at[y]) for y in range(m.n)
+def _find_P1(mk, a):
+    # Q1 & Q2 must be in fam[x] whenever Q1 and Q2 are. The verdict depends
+    # on fam[x] alone.
+    return _per_state(
+        mk.pref[a].sets,
+        lambda fam: [(q1, q2) for q1 in fam for q2 in fam if q1 & q2 not in fam],
     )
 
 
-def _holds_BP1(m, a, b):
-    return _holds_agreement(m, a, b, m.pref)
+def _find_P2(mk, a):
+    # Q2 must be in fam[x] whenever Q1 and R = ~Q1 | Q2 are. Such an R holds
+    # ~Q1 and fixes Q2 & Q1 = R & Q1, so the Q2 it admits are exactly
+    # (R & Q1) | T for T a subset of ~Q1, and each Q2 has one R.
+    full = mk.full
+
+    def solve(fam):
+        found = []
+        for q1 in fam:
+            rest = full & ~q1
+            spread = None
+            for r in fam:
+                if r & rest != rest:
+                    continue
+                if spread is None:
+                    spread = _submasks(rest)
+                low = r & q1
+                found += [(q1, low | t) for t in spread if low | t not in fam]
+        return found
+
+    return _per_state(mk.pref[a].sets, solve)
 
 
-def _holds_BI1(m, a, b):
-    return _holds_agreement(m, a, b, m.intent)
+def _find_P3(mk, a):
+    # Q must be in fam[x] whenever image(Q), the states whose family holds
+    # Q, is. A set in no family has the empty image, so it meets that
+    # hypothesis only when fam[x] holds the empty set.
+    image = mk.pref[a].image
+    for x, fam in enumerate(mk.pref[a].sets):
+        for q in range(mk.full + 1) if 0 in fam else image:
+            if image.get(q, 0) in fam and q not in fam:
+                yield x, q
 
 
-def _holds_agreement(m, a, b, table):
-    fam = table[a][b["x"]]
-    q1, q2 = b["Q1"], b["Q2"]
-    succ = m.belief_successors(a, b["x"])
-    agreement = (q1 & q2) | ((m.universe - q1) & (m.universe - q2))
-    return not (q1 in fam and succ <= agreement) or q2 in fam
-
-
-def _holds_BP2(m, a, b):
-    return _holds_persist(m, a, b, m.pref)
-
-
-def _holds_BI2(m, a, b):
-    return _holds_persist(m, a, b, m.intent)
-
-
-def _holds_persist(m, a, b, table):
-    q, x, y = b["Q"], b["x"], b["y"]
-    return not (q in table[a][x] and (x, y) in m.belief[a]) or q in table[a][y]
-
-
-def _holds_BP3(m, a, b):
-    return _holds_pull_exists(m, a, b, m.pref)
-
-
-def _holds_BI3(m, a, b):
-    return _holds_pull_exists(m, a, b, m.intent)
-
-
-def _holds_pull_exists(m, a, b, table):
-    q, x = b["Q"], b["x"]
-    hyp = any((x, y) in m.belief[a] and q in table[a][y] for y in range(m.n))
-    return not hyp or q in table[a][x]
-
-
-def _holds_BP4(m, a, b):
-    return _holds_pull_forall(m, a, b, m.pref)
-
-
-def _holds_BI4(m, a, b):
-    return _holds_pull_forall(m, a, b, m.intent)
-
-
-def _holds_pull_forall(m, a, b, table):
-    q, x = b["Q"], b["x"]
-    hyp = all((x, y) not in m.belief[a] or q in table[a][y] for y in range(m.n))
-    return not hyp or q in table[a][x]
-
-
-def _holds_BP5(m, a, b):
-    return _holds_push_exists(m, a, b, m.pref)
-
-
-def _holds_BI5(m, a, b):
-    return _holds_push_exists(m, a, b, m.intent)
-
-
-def _holds_push_exists(m, a, b, table):
-    q, x = b["Q"], b["x"]
-    if q not in table[a][x]:
-        return True
-    return any((x, y) in m.belief[a] and q in table[a][y] for y in range(m.n))
-
-
-def _holds_BPIEF1a(m, a, b):
-    q, x = b["Q"], b["x"]
-    return q not in m.intent[a][x] or q in m.pref[a][x]
-
-
-def _holds_BPIEF1b(m, a, b):
-    x = b["x"]
-    union = frozenset().union(*m.intent[a][x]) if m.intent[a][x] else frozenset()
-    return not (union & m.belief_successors(a, x))
-
-
-def _holds_BPIEF1c(m, a, b):
-    x, y, q = b["x"], b["y"], b["Q"]
-    if not ((x, y) in m.belief[a] and q in m.intent[a][x]):
-        return True
-    reach = reflexive_transitive_closure(m.temporal, m.n)
-    return any((y, z) in reach and z in q for z in range(m.n))
-
-
-def _holds_BX1(m, a, b):
-    bx = compose(m.belief[a], m.temporal)
-    bxb = compose(bx, m.belief[a])
-    pair = (b["x"], b["y"])
-    return pair not in bxb or pair in bx
-
-
-def _holds_BX2(m, a, b):
-    x, q = b["x"], b["Q"]
-    rel_b, rel_x = m.belief[a], m.temporal
-    n = m.n
-    ante = all(
-        any((x, y) not in rel_b or ((y, z) in rel_x and z in q) for z in range(n))
-        for y in range(n)
-    )
-    if not ante:
-        return True
-    return all(
-        any(
-            all(
-                (x, u) not in rel_b
-                or ((u, v) in rel_x and ((v, w) not in rel_b or w in q))
-                for w in range(n)
-            )
-            for v in range(n)
-        )
-        for u in range(n)
+def _find_P4(mk, a):
+    # For Q1 in fam[x], every Q2 in fam[x] must hold a state whose family
+    # holds Q1; a Q2 outside fam[x] meets the condition. The verdict depends
+    # on fam[x] and the agent's images alone.
+    image = mk.pref[a].image
+    return _per_state(
+        mk.pref[a].sets,
+        lambda fam: [(q1, q2) for q1 in fam for q2 in fam if not q2 & image[q1]],
     )
 
 
-_BODIES = {
-    "B3": _holds_B3, "B4": _holds_B4, "B5": _holds_B5,
-    "P1": _holds_P1, "P2": _holds_P2, "P3": _holds_P3, "P4": _holds_P4,
-    "BP1": _holds_BP1, "BP2": _holds_BP2, "BP3": _holds_BP3,
-    "BP4": _holds_BP4, "BP5": _holds_BP5,
-    "BI1": _holds_BI1, "BI2": _holds_BI2, "BI3": _holds_BI3,
-    "BI4": _holds_BI4, "BI5": _holds_BI5,
-    "BPIEF1a": _holds_BPIEF1a, "BPIEF1b": _holds_BPIEF1b,
-    "BPIEF1c": _holds_BPIEF1c,
-    "BX1": _holds_BX1, "BX2": _holds_BX2,
+def _find_agreement(kind):
+    """BP1 or BI1 on the preference or intention families."""
+    def find(mk, a):
+        # Q2 must be in fam[x] whenever Q1 is and Q2 agrees with Q1 on S
+        # ((Q1 ^ Q2) & S is empty): Q2 = (Q1 & S) | T for T a subset of ~S.
+        # The verdict depends on fam[x] and S alone, and the Q2 that fail
+        # depend on Q1 only through Q1 & S.
+        full = mk.full
+
+        def solve(key):
+            fam, s = key
+            spread = _submasks(full & ~s)
+            missing = {}
+            found = []
+            for q1 in fam:
+                low = q1 & s
+                if low not in missing:
+                    missing[low] = [low | t for t in spread if low | t not in fam]
+                found += [(q1, q2) for q2 in missing[low]]
+            return found
+
+        return _per_state(zip(getattr(mk, kind)[a].sets, mk.belief[a]), solve)
+    return find
+
+
+def _find_persist(kind):
+    """BP2 or BI2: a member of fam[x] is a member of fam[y] for y in S."""
+    def find(mk, a):
+        sets = getattr(mk, kind)[a].sets
+        for x, s in enumerate(mk.belief[a]):
+            for y in bits(s):
+                for q in sets[x] - sets[y]:
+                    yield x, q, y
+    return find
+
+
+def _find_pull_exists(kind):
+    """BP3 or BI3: a member of some fam[y], y in S, is a member of fam[x]."""
+    def find(mk, a):
+        # The hypothesis needs Q in some family, with an image meeting S.
+        table = getattr(mk, kind)[a]
+        for x, s in enumerate(mk.belief[a]):
+            fam = table.sets[x]
+            for q, holders in table.image.items():
+                if holders & s and q not in fam:
+                    yield x, q
+    return find
+
+
+def _find_pull_forall(kind):
+    """BP4 or BI4: a member of every fam[y], y in S, is a member of fam[x]."""
+    def find(mk, a):
+        # The hypothesis needs Q in every successor's family, so Q is a
+        # member of some family unless S is empty, when every Q meets it.
+        table = getattr(mk, kind)[a]
+        image = table.image
+        for x, s in enumerate(mk.belief[a]):
+            fam = table.sets[x]
+            for q in image if s else range(mk.full + 1):
+                if s & ~image.get(q, 0) == 0 and q not in fam:
+                    yield x, q
+    return find
+
+
+def _find_push_exists(kind):
+    """BP5 or BI5: a member of fam[x] is a member of some fam[y], y in S."""
+    def find(mk, a):
+        table = getattr(mk, kind)[a]
+        for x, s in enumerate(mk.belief[a]):
+            for q in table.sets[x]:
+                if not s & table.image[q]:
+                    yield x, q
+    return find
+
+
+def _find_BPIEF1a(mk, a):
+    # An intended set is preferred.
+    for x, fam in enumerate(mk.intent[a].sets):
+        for q in fam - mk.pref[a].sets[x]:
+            yield x, q
+
+
+def _find_BPIEF1b(mk, a):
+    # No intended set meets S.
+    for x, fam in enumerate(mk.intent[a].sets):
+        intended = 0
+        for q in fam:
+            intended |= q
+        if intended & mk.belief[a][x]:
+            yield (x,)
+
+
+def _find_BPIEF1c(mk, a):
+    # For y in S and Q in intent[x], some state of Q is reachable from y.
+    for x, s in enumerate(mk.belief[a]):
+        fam = mk.intent[a].sets[x]
+        for y in bits(s):
+            for q in fam:
+                if not mk.reach[y] & q:
+                    yield x, y, q
+
+
+def _find_BX1(mk, a):
+    # A belief, temporal, belief path from x to y implies a belief,
+    # temporal one.
+    succ = mk.belief[a]
+    for x in range(mk.n):
+        bx = bxb = 0
+        for y in bits(succ[x]):
+            bx |= mk.temporal[y]
+        for z in bits(bx):
+            bxb |= succ[z]
+        for y in bits(bxb & ~bx):
+            yield x, y
+
+
+def _bx2_fails(mk, a, s, q):
+    """Whether BX2 fails for the set q at a state with belief successors s.
+    BX2: when every state of s has a temporal successor in q, every state of
+    s has a temporal successor all of whose belief successors lie in q."""
+    temporal = mk.temporal
+    if not all(temporal[y] & q for y in bits(s)):
+        return False
+    inside = mask_of(v for v, t in enumerate(mk.belief[a]) if not t & ~q)
+    return not all(temporal[u] & inside for u in bits(s))
+
+
+def _find_BX2(mk, a):
+    # x enters only through S.
+    sets = range(mk.full + 1)
+    return _per_state(
+        mk.belief[a], lambda s: [(q,) for q in sets if _bx2_fails(mk, a, s, q)]
+    )
+
+
+class _Condition(NamedTuple):
+    variables: str  # witness names in binding order; Q... name a set
+    find: Callable
+    note: str
+
+
+_CONDITIONS = {
+    "B3": _Condition("x y z", _find_B3, "belief relation is not transitive"),
+    "B4": _Condition("x y z", _find_B4, "belief relation is not euclidean"),
+    "B5": _Condition("x", _find_B5, "belief relation is not serial"),
+    "P1": _Condition("x Q1 Q2", _find_P1, "preference family not closed under intersection"),
+    "P2": _Condition("x Q1 Q2", _find_P2,
+                     "preference family not closed under material consequence"),
+    "P3": _Condition("x Q", _find_P3, "nested preference does not collapse"),
+    "P4": _Condition("x Q1 Q2", _find_P4, "preferred set lacks a supporting member state"),
+    "BP1": _Condition("x Q1 Q2", _find_agreement("pref"),
+                      "preference not invariant under agreement on belief successors"),
+    "BP2": _Condition("x Q y", _find_persist("pref"), "preference not preserved along belief"),
+    "BP3": _Condition("x Q", _find_pull_exists("pref"),
+                      "preference not pulled back from a belief successor"),
+    "BP4": _Condition("x Q", _find_pull_forall("pref"),
+                      "preference at all belief successors not reflected"),
+    "BP5": _Condition("x Q", _find_push_exists("pref"), "preference lacks a believing successor"),
+    "BI1": _Condition("x Q1 Q2", _find_agreement("intent"),
+                      "intention not invariant under agreement on belief successors"),
+    "BI2": _Condition("x Q y", _find_persist("intent"), "intention not preserved along belief"),
+    "BI3": _Condition("x Q", _find_pull_exists("intent"),
+                      "intention not pulled back from a belief successor"),
+    "BI4": _Condition("x Q", _find_pull_forall("intent"),
+                      "intention at all belief successors not reflected"),
+    "BI5": _Condition("x Q", _find_push_exists("intent"), "intention lacks a believing successor"),
+    "BPIEF1a": _Condition("x Q", _find_BPIEF1a, "intended set is not preferred"),
+    "BPIEF1b": _Condition("x", _find_BPIEF1b, "intended states overlap belief successors"),
+    "BPIEF1c": _Condition("x y Q", _find_BPIEF1c,
+                          "intended set not temporally reachable from a belief successor"),
+    "BX1": _Condition("x y", _find_BX1, "belief-next composition escapes belief-next"),
+    "BX2": _Condition("x Q", _find_BX2, "believed existential next not introspective"),
 }
-
-
-# --- binding enumerators ----------------------------------------------------
-
-def _enum_triple(m, a):
-    for x, y, z in itertools.product(range(m.n), repeat=3):
-        yield {"x": x, "y": y, "z": z}
-
-
-def _enum_states(m, a):
-    for x in range(m.n):
-        yield {"x": x}
-
-
-def _enum_family_pairs(table):
-    def gen(m, a):
-        for x in range(m.n):
-            for q1 in table(m)[a][x]:
-                for q2 in table(m)[a][x]:
-                    yield {"x": x, "Q1": q1, "Q2": q2}
-    return gen
-
-
-def _enum_member_by_powerset(table):
-    def gen(m, a):
-        sets = list(powerset(m.n))
-        for x in range(m.n):
-            for q1 in table(m)[a][x]:
-                for q2 in sets:
-                    yield {"x": x, "Q1": q1, "Q2": q2}
-    return gen
-
-
-def _enum_state_powerset(m, a):
-    sets = list(powerset(m.n))
-    for x in range(m.n):
-        for q in sets:
-            yield {"x": x, "Q": q}
-
-
-def _enum_member(table):
-    def gen(m, a):
-        for x in range(m.n):
-            for q in table(m)[a][x]:
-                yield {"x": x, "Q": q}
-    return gen
-
-
-def _enum_successor_member(table):
-    # Q constrained by an existential hypothesis over belief successors.
-    def gen(m, a):
-        for x in range(m.n):
-            seen = set()
-            for y in m.belief_successors(a, x):
-                for q in table(m)[a][y]:
-                    if q not in seen:
-                        seen.add(q)
-                        yield {"x": x, "Q": q}
-    return gen
-
-
-def _enum_all_successors_member(table):
-    # For the universal hypothesis: any violating Q lies in every successor's
-    # family, so one successor's family suffices; no successor means the
-    # hypothesis is vacuous for every Q.
-    def gen(m, a):
-        for x in range(m.n):
-            succ = sorted(m.belief_successors(a, x))
-            pool = table(m)[a][succ[0]] if succ else powerset(m.n)
-            for q in pool:
-                yield {"x": x, "Q": q}
-    return gen
-
-
-def _enum_persist(table):
-    def gen(m, a):
-        for x in range(m.n):
-            for q in table(m)[a][x]:
-                for y in m.belief_successors(a, x):
-                    yield {"x": x, "Q": q, "y": y}
-    return gen
-
-
-def _enum_intent_edge(m, a):
-    for x in range(m.n):
-        for q in m.intent[a][x]:
-            for y in m.belief_successors(a, x):
-                yield {"x": x, "y": y, "Q": q}
-
-
-def _enum_bx1(m, a):
-    bxb = compose(compose(m.belief[a], m.temporal), m.belief[a])
-    for (x, y) in sorted(bxb):
-        yield {"x": x, "y": y}
-
-
-def _pref(m):
-    return m.pref
-
-
-def _intent(m):
-    return m.intent
-
-
-_ENUMS = {
-    "B3": _enum_triple,
-    "B4": _enum_triple,
-    "B5": _enum_states,
-    "P1": _enum_family_pairs(_pref),
-    "P2": _enum_member_by_powerset(_pref),
-    "P3": _enum_state_powerset,
-    "P4": _enum_member_by_powerset(_pref),
-    "BP1": _enum_member_by_powerset(_pref),
-    "BP2": _enum_persist(_pref),
-    "BP3": _enum_successor_member(_pref),
-    "BP4": _enum_all_successors_member(_pref),
-    "BP5": _enum_member(_pref),
-    "BI1": _enum_member_by_powerset(_intent),
-    "BI2": _enum_persist(_intent),
-    "BI3": _enum_successor_member(_intent),
-    "BI4": _enum_all_successors_member(_intent),
-    "BI5": _enum_member(_intent),
-    "BPIEF1a": _enum_member(_intent),
-    "BPIEF1b": _enum_states,
-    "BPIEF1c": _enum_intent_edge,
-    "BX1": _enum_bx1,
-    "BX2": _enum_state_powerset,
-}
-
-_NOTES = {
-    "B3": "belief relation is not transitive",
-    "B4": "belief relation is not euclidean",
-    "B5": "belief relation is not serial",
-    "P1": "preference family not closed under intersection",
-    "P2": "preference family not closed under material consequence",
-    "P3": "nested preference does not collapse",
-    "P4": "preferred set lacks a supporting member state",
-    "BP1": "preference not invariant under agreement on belief successors",
-    "BP2": "preference not preserved along belief",
-    "BP3": "preference not pulled back from a belief successor",
-    "BP4": "preference at all belief successors not reflected",
-    "BP5": "preference lacks a believing successor",
-    "BI1": "intention not invariant under agreement on belief successors",
-    "BI2": "intention not preserved along belief",
-    "BI3": "intention not pulled back from a belief successor",
-    "BI4": "intention at all belief successors not reflected",
-    "BI5": "intention lacks a believing successor",
-    "BPIEF1a": "intended set is not preferred",
-    "BPIEF1b": "intended states overlap belief successors",
-    "BPIEF1c": "intended set not temporally reachable from a belief successor",
-    "BX1": "belief-next composition escapes belief-next",
-    "BX2": "believed existential next not introspective",
-}
+CONDITION_NAMES = tuple(_CONDITIONS)
 
 
 def check_condition(name: str, m: Model, max_violations: int | None = None) -> list:
-    """All violations of one catalogued condition, across agents.
+    """All violations of one catalogued condition, across agents, in the
+    canonical order (see the module docstring).
 
     Raises ConditionSkipped when the state count exceeds the enumeration cap.
     """
-    if name not in _BODIES:
+    if name not in _CONDITIONS:
         raise ValueError(f"unknown condition {name!r}")
-    _cap(name, m.n)
-    body = _BODIES[name]
-    enum = _ENUMS[name]
+    cond = _CONDITIONS[name]
+    variables = cond.variables.split()
+    _cap(name, variables, m.n)
+    mk = m.masks
     violations = []
     for agent in m.agents:
-        for binding in enum(m, agent):
-            if body(m, agent, binding):
-                continue
-            witnesses = {k: _names(m, v) for k, v in binding.items()}
+        for binding in sorted(cond.find(mk, agent)):
+            witnesses = {var: _names(m, var, value)
+                         for var, value in zip(variables, binding)}
             violations.append(
                 Violation(condition=name, agent=agent, witnesses=witnesses,
-                          note=_NOTES[name])
+                          note=cond.note)
             )
             if max_violations is not None and len(violations) >= max_violations:
                 return violations
@@ -460,82 +396,20 @@ def check_condition(name: str, m: Model, max_violations: int | None = None) -> l
 
 
 def recheck(m: Model, v: Violation) -> bool:
-    """Re-evaluate the condition instance on the stored witnesses.
+    """Test the stored witnesses again, read in m.
 
-    Returns True when the failure reproduces (the instance is false)."""
-    binding = {k: _indices(m, val) for k, val in v.witnesses.items()}
-    return not _BODIES[v.condition](m, v.agent, binding)
+    Returns True when the failure reproduces: the witnesses form a binding
+    that falsifies the condition for the agent."""
+    binding = tuple(_indices(m, val) for val in v.witnesses.values())
+    return binding in _CONDITIONS[v.condition].find(m.masks, v.agent)
 
 
 def validate_model(m: Model) -> ValidationReport:
-    """Run every catalogued condition plus the admissible-family closure."""
+    """Run every catalogued condition."""
     report = ValidationReport()
     for name in CONDITION_NAMES:
         try:
             report.violations.extend(check_condition(name, m))
         except ConditionSkipped as skip:
             report.skipped.append((name, skip.reason))
-    try:
-        report.violations.extend(check_da_closure(m))
-    except ConditionSkipped as skip:
-        report.skipped.append(("Da", skip.reason))
     return report
-
-
-_DA_NOTE = "admissible family not closed under {0}"
-
-
-def check_da_closure(m: Model, da=POWERSET) -> list:
-    """Closure conditions (a)-(i) on an admissible set family.
-
-    With the powerset marker the family is closed under everything and no
-    enumeration happens. Explicit families are enumerated, capped at
-    DA_CAP members."""
-    if da == POWERSET:
-        return []
-    family = frozenset(frozenset(q) for q in da)
-    if len(family) > DA_CAP:
-        raise ConditionSkipped("Da", f"{len(family)} members exceeds cap {DA_CAP}")
-    n = m.n
-    violations = []
-
-    def report(tag, witnesses):
-        violations.append(
-            Violation(condition=f"Da-{tag}", agent="*", witnesses=witnesses,
-                      note=_DA_NOTE.format(tag))
-        )
-
-    for p in m.atoms:  # (a)
-        ext = m.atom_extension(p)
-        if ext not in family:
-            report("a", {"atom": p, "extension": _names(m, ext)})
-    for q in family:  # (b)
-        if (m.universe - q) not in family:
-            report("b", {"A": _names(m, q)})
-    for q1 in family:  # (c)
-        for q2 in family:
-            if (q1 & q2) not in family:
-                report("c", {"A1": _names(m, q1), "A2": _names(m, q2)})
-    for agent in m.agents:
-        for q in family:
-            img = frozenset(
-                s for s in range(n) if m.belief_successors(agent, s) <= q
-            )
-            if img not in family:  # (d)
-                report("d", {"agent": agent, "A": _names(m, q)})
-            img = frozenset(s for s in range(n) if q in m.pref[agent][s])
-            if img not in family:  # (e)
-                report("e", {"agent": agent, "A": _names(m, q)})
-            img = frozenset(s for s in range(n) if q in m.intent[agent][s])
-            if img not in family:  # (f)
-                report("f", {"agent": agent, "A": _names(m, q)})
-    for q in family:
-        if ev_exists_next(m.temporal, q, n) not in family:  # (g)
-            report("g", {"A": _names(m, q)})
-        if ev_globally(m.temporal, q, n) not in family:  # (h)
-            report("h", {"A": _names(m, q)})
-    for q1 in family:  # (i)
-        for q2 in family:
-            if ev_until(m.temporal, q1, q2, n) not in family:
-                report("i", {"A1": _names(m, q1), "A2": _names(m, q2)})
-    return violations

@@ -1,16 +1,17 @@
-"""Finite BPICTL models and binary-relation utilities.
+"""Finite BPICTL models.
 
 States are stored as name strings in declared order; all relations,
 neighbourhood families and state sets use integer indices into that order.
+``Model.masks`` is the same model as int bitmasks, for the frame validator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple
 
 StateSet = frozenset  # frozenset[int]
-Relation = frozenset  # frozenset[tuple[int, int]]
 
 
 class UndeclaredSymbolError(ValueError):
@@ -39,23 +40,35 @@ class Model:
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.states:
-            raise ModelError("a model needs at least one state")
-        if len(set(self.states)) != len(self.states):
-            raise ModelError("duplicate state identifiers")
-        self._index = {s: i for i, s in enumerate(self.states)}
+        # sat_search builds a Model per candidate: keep these checks cheap
         n = len(self.states)
-        for rel in [self.temporal, *self.belief.values()]:
+        if not n:
+            raise ModelError("a model needs at least one state")
+        self._index = {s: i for i, s in enumerate(self.states)}
+        if len(self._index) != n:
+            raise ModelError("duplicate state identifiers")
+        if len(self.labeling) != n:
+            raise ModelError(f"labeling has {len(self.labeling)} rows for {n} states")
+        atoms = frozenset(self.atoms)
+        for state, row in zip(self.states, self.labeling):
+            if not atoms.issuperset(row):
+                raise ModelError(f"state {state!r} has undeclared atom {min(set(row) - atoms)!r}")
+        agents = set(self.agents)
+        if not self.belief.keys() == self.pref.keys() == self.intent.keys() == agents:
+            raise ModelError("belief, preference and intention tables must cover "
+                             f"exactly the declared agents {sorted(agents)}")
+        for rel in (self.temporal, *self.belief.values()):
             for (x, y) in rel:
                 if not (0 <= x < n and 0 <= y < n):
                     raise ModelError(f"relation endpoint out of range: {(x, y)}")
-        for fams in [self.pref, self.intent]:
+        indices = frozenset(range(n))
+        for fams in (self.pref, self.intent):
             for agent, per_state in fams.items():
                 if len(per_state) != n:
                     raise ModelError(f"family table for {agent!r} has wrong length")
                 for family in per_state:
                     for member in family:
-                        if any(not (0 <= s < n) for s in member):
+                        if not indices.issuperset(member):
                             raise ModelError("neighbourhood member out of range")
 
     @property
@@ -77,14 +90,89 @@ class Model:
             raise UndeclaredSymbolError("atom", atom)
         return frozenset(i for i in range(self.n) if atom in self.labeling[i])
 
-    def belief_successors(self, agent: str, s: int) -> StateSet:
-        return frozenset(t for (x, t) in self.belief[agent] if x == s)
-
-    def temporal_successors(self, s: int) -> StateSet:
-        return frozenset(t for (x, t) in self.temporal if x == s)
-
     def state_names(self, ss: Iterable[int]) -> tuple[str, ...]:
         return tuple(self.states[i] for i in sorted(ss))
+
+    @cached_property
+    def masks(self) -> Masks:
+        """The model compiled to int bitmasks (bit i is state i), built on
+        first use. Models are not to be changed after this view is built."""
+        n = self.n
+        cache = {}  # family -> its member masks; states often share families
+        return Masks(
+            n=n,
+            full=(1 << n) - 1,
+            belief={a: _successor_masks(rel, n) for a, rel in self.belief.items()},
+            temporal=_successor_masks(self.temporal, n),
+            pref={a: _neighbourhoods(t, cache) for a, t in self.pref.items()},
+            intent={a: _neighbourhoods(t, cache) for a, t in self.intent.items()},
+        )
+
+
+class Neighbourhoods(NamedTuple):
+    """One agent's preference or intention families as masks."""
+
+    sets: tuple   # per state: frozenset of member masks
+    image: dict   # member mask -> mask of the states whose family holds it
+
+
+@dataclass
+class Masks:
+    """What the frame validator reads of a model, as int bitmasks."""
+
+    n: int
+    full: int            # every state
+    belief: dict         # agent -> per state: belief successors
+    temporal: tuple      # per state: temporal successors
+    pref: dict           # agent -> Neighbourhoods
+    intent: dict         # agent -> Neighbourhoods
+
+    @cached_property
+    def reach(self) -> tuple:
+        """Per state: its reflexive-transitive temporal reach (Warshall on
+        bitsets). Built on first use: it costs O(n^2), and only a condition
+        capped at 16 states reads it."""
+        reach = [1 << x | s for x, s in enumerate(self.temporal)]
+        for k in range(self.n):
+            for i in range(self.n):
+                if reach[i] >> k & 1:
+                    reach[i] |= reach[k]
+        return tuple(reach)
+
+
+def mask_of(states: Iterable[int]) -> int:
+    out = 0
+    for i in states:
+        out |= 1 << i
+    return out
+
+
+def bits(mask: int):
+    """The states of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _successor_masks(rel, n: int) -> tuple:
+    succ = [0] * n
+    for (x, y) in rel:
+        succ[x] |= 1 << y
+    return tuple(succ)
+
+
+def _neighbourhoods(per_state, cache: dict) -> Neighbourhoods:
+    sets = []
+    image = {}
+    for x, family in enumerate(per_state):
+        members = cache.get(family)
+        if members is None:
+            members = cache[family] = frozenset(map(mask_of, family))
+        sets.append(members)
+        for q in members:
+            image[q] = image.get(q, 0) | 1 << x
+    return Neighbourhoods(tuple(sets), image)
 
 
 def make_model(
@@ -154,33 +242,6 @@ def make_model(
         pref=families(pref),
         intent=families(intent),
     )
-
-
-def compose(r1: Relation, r2: Relation) -> Relation:
-    """Relational composition: pairs (x, z) with an r1-step then an r2-step."""
-    by_src = {}
-    for (y, z) in r2:
-        by_src.setdefault(y, []).append(z)
-    return frozenset((x, z) for (x, y) in r1 for z in by_src.get(y, ()))
-
-
-def reflexive_transitive_closure(rel: Relation, n: int) -> Relation:
-    """Smallest reflexive transitive relation over n states containing rel."""
-    succ = [set() for _ in range(n)]
-    for (x, y) in rel:
-        succ[x].add(y)
-    out = set()
-    for start in range(n):
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in succ[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        out.update((start, t) for t in seen)
-    return frozenset(out)
 
 
 def powerset(n: int):

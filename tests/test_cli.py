@@ -1,5 +1,6 @@
 import pytest
 
+from bpictl import cli
 from bpictl.cli import run
 from bpictl.textio import render_model
 
@@ -168,3 +169,15 @@ def test_deep_formula_file(model_file, deep_formula_file, argv, codes, capsys):
     assert err == ""
     if argv[0] == "fmt":
         assert out == "!" * 100_000 + "p\n"
+
+
+def test_unexpected_exception_exits_4(model_file, monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_validate", boom)
+    assert run(["validate", model_file]) == cli.EXIT_INTERNAL == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+

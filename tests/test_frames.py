@@ -1,16 +1,21 @@
+import random
+import re
+import time
+from collections import Counter
+
 import pytest
 
 from bpictl.frames import (
     CONDITION_NAMES,
     ConditionSkipped,
     check_condition,
-    check_da_closure,
     recheck,
     validate_model,
 )
-from bpictl.model import make_model
+from bpictl.model import Model, ModelError, make_model, powerset
 
 from conftest import example_model
+from frames_reference import reference_violations
 
 S2 = ("s0", "s1")
 TOTAL = [(x, y) for x in S2 for y in S2]
@@ -127,27 +132,134 @@ def test_validate_reports_skip_not_pass():
     assert any(name == "P1" for (name, _) in report.skipped)
 
 
-def test_da_closure_powerset_trivial(simple_model):
-    assert check_da_closure(simple_model) == []
+# --- differential test against the literal conditions ----------------------
+
+def _arbitrary_model(rng):
+    """A model with 1-4 states and 1-2 agents whose relations and families
+    are drawn at random, frame-valid or not."""
+    n = rng.randint(1, 4)
+    agents = ("a", "b")[: rng.randint(1, 2)]
+    sets = list(powerset(n))
+
+    def relation():
+        if rng.random() < 0.3:  # a KD45 cluster
+            cluster = rng.sample(range(n), rng.randint(1, n))
+            return frozenset((x, y) for x in range(n) for y in cluster)
+        density = rng.choice((0.2, 0.5, 0.8))
+        return frozenset((x, y) for x in range(n) for y in range(n)
+                         if rng.random() < density)
+
+    def family():
+        density = rng.choice((0.0, 0.1, 0.3, 0.6))
+        return frozenset(q for q in sets if rng.random() < density)
+
+    def table():
+        mode = rng.choice(("per-state", "shared", "filter"))
+        if mode == "per-state":
+            return tuple(family() for _ in range(n))
+        if mode == "shared":
+            return (family(),) * n
+        core = frozenset(rng.sample(range(n), rng.randint(0, n)))
+        return (frozenset(q for q in sets if core <= q),) * n
+
+    return Model(
+        states=tuple(f"s{i}" for i in range(n)),
+        atoms=("p",),
+        agents=agents,
+        labeling=tuple(frozenset() for _ in range(n)),
+        belief={a: relation() for a in agents},
+        temporal=relation(),
+        pref={a: table() for a in agents},
+        intent={a: table() for a in agents},
+    )
 
 
-def test_da_closure_explicit_family(simple_model):
-    m = simple_model
-    # {∅} misses the atom extension and complements
-    bad = check_da_closure(m, da=[frozenset()])
-    kinds = {v.condition for v in bad}
-    assert "Da-a" in kinds
-    assert "Da-b" in kinds
-    # the full powerset written out explicitly is closed
-    from bpictl.model import powerset
-    assert check_da_closure(m, da=list(powerset(m.n))) == []
+ARBITRARY = [_arbitrary_model(random.Random(seed)) for seed in range(120)]
 
 
-def test_da_closure_needs_temporal_images(simple_model):
-    m = simple_model
-    # closed under booleans and atoms but not under the temporal operators?
-    # with self-loop temporal EX/EG/EU images stay in the family, so this
-    # one passes; drop the atom extension instead and (a) fires alone
-    fam = [frozenset(), m.universe]
-    bad = check_da_closure(m, da=fam)
-    assert {v.condition for v in bad} == {"Da-a"}
+@pytest.mark.parametrize("name", CONDITION_NAMES)
+def test_conditions_match_literal_reference(name):
+    for m in ARBITRARY:
+        got = check_condition(name, m)
+        want = reference_violations(name, m)
+        assert Counter(map(str, got)) == Counter(map(str, want)), (name, m)
+        # the reference enumerates in the canonical order
+        assert got == want
+        assert all(recheck(m, v) for v in got)
+
+
+def test_violation_order_is_canonical():
+    # agents in declared order, then the binding in witness order, states by
+    # index and sets by mask
+    m = make_model(
+        states=S2, atoms=("p",), agents=("b", "a"),
+        belief={"a": IDENT, "b": []},
+        pref={"a": {"s0": [(), S2]}, "b": {}},
+    )
+    lines = [str(v).split("  #")[0]
+             for name in ("B5", "BP1") for v in check_condition(name, m)]
+    assert lines == [
+        "B5 agent=b x=s0",
+        "B5 agent=b x=s1",
+        "BP1 agent=a x=s0 Q1={} Q2={s1}",
+        "BP1 agent=a x=s0 Q1={s0 s1} Q2={s0}",
+    ]
+
+
+def test_ten_state_principal_filter_model_is_frame_valid():
+    # one agent believes the cluster {s0, s1, s2} and prefers every set
+    # holding s0; the cluster loops, other states step anywhere
+    n, cluster = 10, (0, 1, 2)
+    rng = random.Random(10)
+    states = tuple(f"s{i}" for i in range(n))
+    members = [tuple(states[i] for i in sorted(q)) for q in powerset(n) if 0 in q]
+    temporal = [(states[x], states[x]) for x in cluster]
+    temporal += [(states[x], states[y]) for x in range(3, n) for y in range(n)
+                 if rng.random() < 0.3]
+    m = make_model(
+        states=states, atoms=("p",), agents=("a",),
+        belief={"a": [(s, states[y]) for s in states for y in cluster]},
+        temporal=temporal, pref={"a": {s: members for s in states}},
+    )
+    start = time.perf_counter()
+    report = validate_model(m)
+    assert report.passed, report.violations[:3] or report.skipped
+    # about 0.1 s on a 2-vCPU host; the literal quantifiers take about a minute
+    assert time.perf_counter() - start < 30
+
+
+# --- model construction checks ------------------------------------------------
+
+def _raw(**changes):
+    fields = dict(
+        states=("s0", "s1"), atoms=("p",), agents=("a",),
+        labeling=(frozenset({"p"}), frozenset()),
+        belief={"a": frozenset()}, temporal=frozenset(),
+        pref={"a": (frozenset(), frozenset())},
+        intent={"a": (frozenset(), frozenset())},
+    )
+    fields.update(changes)
+    return Model(**fields)
+
+
+def test_model_accepts_complete_tables():
+    assert _raw().n == 2
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"labeling": (frozenset(),)}, "labeling has 1 rows for 2 states"),
+    ({"labeling": (frozenset({"q"}), frozenset())}, "state 's0' has undeclared atom 'q'"),
+    ({"belief": {}}, "exactly the declared agents ['a']"),
+    ({"pref": {"a": (frozenset(), frozenset()), "b": (frozenset(), frozenset())}},
+     "exactly the declared agents ['a']"),
+    ({"intent": {}}, "exactly the declared agents ['a']"),
+    ({"states": ("s0", "s0")}, "duplicate state identifiers"),
+    ({"temporal": frozenset({(0, 2)})}, "relation endpoint out of range: (0, 2)"),
+    ({"belief": {"a": frozenset({(-1, 0)})}}, "relation endpoint out of range: (-1, 0)"),
+    ({"pref": {"a": (frozenset(), frozenset({frozenset({2})}))}},
+     "neighbourhood member out of range"),
+    ({"intent": {"a": (frozenset(),)}}, "family table for 'a' has wrong length"),
+])
+def test_model_rejects_incomplete_tables(changes, message):
+    with pytest.raises(ModelError, match=re.escape(message)):
+        _raw(**changes)
