@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import Formula, agents_of, atoms_of, rewrite_derived
+from .formula import Formula, agents_of, atoms_of, descendants, rewrite_derived
 from .model import Model, StateSet, UndeclaredSymbolError
 
 
@@ -121,45 +121,26 @@ def eval_formula(m: Model, f: Formula) -> StateSet:
         preds[t].append(x)
 
     labels: dict[Formula, frozenset] = {}
-    for sub in _postorder(core):
+    for sub in descendants(core):
         labels[sub] = _eval_node(m, sub, labels, preds)
-    return labels[core]
-
-
-def _postorder(f: Formula) -> list[Formula]:
-    """Distinct subformulas of f, each after its children; no recursion."""
-    seen: set[Formula] = set()
-    out: list[Formula] = []
-    stack = [(f, False)]
-    while stack:
-        g, expanded = stack.pop()
-        if expanded:
-            out.append(g)
-        elif g not in seen:
-            seen.add(g)
-            stack.append((g, True))
-            if g.right is not None:
-                stack.append((g.right, False))
-            if g.left is not None:
-                stack.append((g.left, False))
-    return out
+    return _eval_node(m, core, labels, preds)
 
 
 def _drain_backward(seed, preds, allowed=None) -> frozenset:
-    """Backward propagation: labeled states grow from seed over predecessors,
-    popped in declared order (lowest index first)."""
+    """Backward propagation: labeled states grow from seed over predecessors.
+    The pop order does not matter: whatever order the work list is drained
+    in, the result is the seed plus every allowed state with a path of
+    allowed states into it."""
     labeled = set(seed)
-    work = set(seed)
+    work = list(labeled)
     while work:
-        s = min(work)
-        work.discard(s)
-        for t in preds[s]:
+        for t in preds[work.pop()]:
             if t in labeled:
                 continue
             if allowed is not None and t not in allowed:
                 continue
             labeled.add(t)
-            work.add(t)
+            work.append(t)
     return frozenset(labeled)
 
 

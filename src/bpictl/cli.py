@@ -70,15 +70,15 @@ def _cmd_axioms(args) -> int:
     from . import soundness  # imported on use: no other command runs the suite
 
     m = _read_model(args.model)
-    report = frames.validate_model(m)
-    if not report.passed:
+    try:
+        results = soundness.run_suite([m], seed=args.seed,
+                                      bindings_per_schema=args.pool)
+    except soundness.InvalidModelError as exc:
         print("model is not frame-valid; refusing to certify axioms",
               file=sys.stderr)
-        for v in report.violations:
+        for v in exc.report.violations:
             print(v, file=sys.stderr)
         return EXIT_USAGE
-    results = soundness.run_suite([m], seed=args.seed,
-                                  bindings_per_schema=args.pool)
     print(soundness.render_suite_report(results))
     return EXIT_YES if all(r.ok for r in results) else EXIT_NO
 
@@ -87,10 +87,11 @@ def _cmd_sat(args) -> int:
     f = _read_formula(args.formula)
     result = satbound.sat_search(f, max_states=args.max_states,
                                  budget=args.budget)
-    closure, bound = satbound.closure_bound(f)
-    if len(closure) > 64:  # too many digits to be worth printing
-        bound = f"2^{len(closure)}"
-    print(f"closure size {len(closure)}, theoretical model bound {bound}")
+    bound = result.theoretical_bound
+    size = bound.bit_length() - 1  # the bound is 2 ** |closure|
+    if size > 64:  # too many digits to be worth printing
+        bound = f"2^{size}"
+    print(f"closure size {size}, theoretical model bound {bound}")
     if result.verdict == "sat":
         print(f"satisfiable, witness state {result.witness} "
               f"({result.explored} candidates)")

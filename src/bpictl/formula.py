@@ -7,9 +7,9 @@ implication, biconditional, desire, AG, AU and AF are derived operators that
 Formulas are hash-consed (Filliâtre & Conchon, "Type-safe modular
 hash-consing", 2006): each distinct formula is one interned node, so
 structural equality is identity and hashing is O(1). A node lazily caches
-its core rewrite and its symbols. Every walk over a formula here is
-iterative, so nesting depth is bounded by memory, not by the interpreter's
-recursion limit.
+its core rewrite, its symbols and, once evaluated, the postorder of its
+subformulas. Every walk over a formula here is iterative, so nesting depth
+is bounded by memory, not by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class Formula:
     """
 
     __slots__ = ("op", "name", "agent", "left", "right", "_core", "_symbols",
-                 "__weakref__")
+                 "_descendants", "__weakref__")
 
     op: str
     name: str | None        # atom name (op == 'atom')
@@ -68,6 +68,7 @@ class Formula:
         _set_right(node, right)
         _set_core(node, None)
         _set_symbols(node, None)
+        _set_descendants(node, None)
         _TABLE[key] = KeyedRef(node, _forget, key)
         return node
 
@@ -101,6 +102,7 @@ _set_left = Formula.left.__set__
 _set_right = Formula.right.__set__
 _set_core = Formula._core.__set__
 _set_symbols = Formula._symbols.__set__
+_set_descendants = Formula._descendants.__set__
 
 
 # Constructor helpers.  Binary temporal operators take (left, right).
@@ -187,6 +189,10 @@ CORE_OPS = frozenset(
 # Operators whose semantics read neighbourhood families (D rewrites to P).
 _NEIGHBOURHOOD_OPS = frozenset({"P", "I", "D"})
 
+# Operators whose semantics read the temporal relation; the derived ones
+# rewrite to EF, EG or EU.
+_TEMPORAL_OPS = frozenset({"AX", "EX", "EF", "EG", "EU", "AG", "AF", "AU"})
+
 
 def _fill(f: Formula, cache: str, compute) -> None:
     """Fill the cache slot named `cache` of f and of every node below f that
@@ -259,15 +265,7 @@ def _rewrite_node(f: Formula) -> None:
 
 def subformulas(f: Formula) -> frozenset[Formula]:
     """All subformulas of f, including f itself."""
-    out: set[Formula] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g in out:
-            continue
-        out.add(g)
-        stack.extend(g.children())
-    return frozenset(out)
+    return frozenset(descendants(f)).union((f,))
 
 
 def subformula_closure(f: Formula) -> frozenset[Formula]:
@@ -289,24 +287,27 @@ def _union(x: frozenset, y: frozenset) -> frozenset:
 
 
 def _symbols_node(f: Formula) -> None:
-    """Set f's (atoms, agents, mentions P/I/D) cache from its children's."""
+    """Set f's (atoms, agents, mentions P/I/D, mentions a temporal operator)
+    cache from its children's."""
     op = f.op
     if op == "atom":
-        symbols = (frozenset((f.name,)), _NO_NAMES, False)
+        symbols = (frozenset((f.name,)), _NO_NAMES, False, False)
     elif f.left is None:
-        symbols = (_NO_NAMES, _NO_NAMES, False)
+        symbols = (_NO_NAMES, _NO_NAMES, False, False)
     else:
         symbols = f.left._symbols
         if f.right is not None:
             right = f.right._symbols
             if right is not symbols:
                 symbols = (_union(symbols[0], right[0]), _union(symbols[1], right[1]),
-                           symbols[2] or right[2])
+                           symbols[2] or right[2], symbols[3] or right[3])
         if f.agent is not None:
-            atoms, agents, neighbourhood = symbols
+            atoms, agents, neighbourhood, temporal = symbols
             if f.agent not in agents or (op in _NEIGHBOURHOOD_OPS and not neighbourhood):
                 symbols = (atoms, agents | {f.agent},
-                           neighbourhood or op in _NEIGHBOURHOOD_OPS)
+                           neighbourhood or op in _NEIGHBOURHOOD_OPS, temporal)
+        elif op in _TEMPORAL_OPS and not symbols[3]:
+            symbols = (*symbols[:3], True)
     _set_symbols(f, symbols)
 
 
@@ -330,3 +331,33 @@ def mentions_neighbourhood(f: Formula) -> bool:
     """Whether f uses P, I or D, i.e. whether its core reads preference or
     intention families."""
     return _symbols(f)[2]
+
+
+def mentions_temporal(f: Formula) -> bool:
+    """Whether f uses a temporal operator, i.e. whether its core reads the
+    temporal relation."""
+    return _symbols(f)[3]
+
+
+def descendants(f: Formula) -> tuple[Formula, ...]:
+    """The distinct strict subformulas of f, each after its children. Cached
+    on f; f itself is left out, so the cache holds no reference to f."""
+    out = f._descendants
+    if out is None:
+        seen: set[Formula] = {f}
+        order: list[Formula] = []
+        stack = [(c, False) for c in (f.right, f.left) if c is not None]
+        while stack:
+            g, expanded = stack.pop()
+            if expanded:
+                order.append(g)
+            elif g not in seen:
+                seen.add(g)
+                stack.append((g, True))
+                if g.right is not None:
+                    stack.append((g.right, False))
+                if g.left is not None:
+                    stack.append((g.left, False))
+        out = tuple(order)
+        _set_descendants(f, out)
+    return out

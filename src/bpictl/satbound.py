@@ -17,6 +17,31 @@ shapes are forced by the frame conditions, not merely convenient:
   (the intended states must avoid the cluster, agreement closure then
   admits the empty set, and reachability rejects it), so only the empty
   intention family can appear.
+
+Two reductions shrink the space further without losing completeness:
+
+- Sorted labels (symmetry breaking, Emerson & Sistla, "Symmetry and model
+  checking", FMSD 1996). Only labelings whose per-state atom masks are
+  nondecreasing are enumerated. Sorting the states of any candidate by
+  label mask is an isomorphism onto a candidate with sorted labels: the
+  belief, family and temporal components are enumerated in full for each
+  size, so their images under a permutation of the states are enumerated
+  too. The formula's truth (with the witness state mapped along) and all
+  22 frame conditions are invariant under isomorphism.
+- Only the components the formula reads. When the core formula has no
+  AX, EX, EF, EG or EU, only the empty temporal relation T is enumerated.
+  The formula's truth does not read T. Of the 22 frame conditions only
+  BX1, BX2 and BPIEF1c read T. With T empty, BX1 has no belief, temporal,
+  belief path to violate it, and BX2's hypothesis (every belief successor
+  has a temporal successor in Q) fails at every state with a belief
+  successor, while at a state without one its conclusion holds vacuously.
+  BPIEF1c ranges over intention families, which are always empty here. So
+  a frame-valid model of such a formula stays a frame-valid model of it
+  once T is replaced by the empty relation.
+
+Within one search, each size's components (KD45 relations with their
+preference families, the sorted labelings, the temporal relations) are
+built once, not per candidate. Nothing is kept between searches.
 """
 
 from __future__ import annotations
@@ -30,6 +55,7 @@ from .formula import (
     agents_of,
     atoms_of,
     mentions_neighbourhood,
+    mentions_temporal,
     rewrite_derived,
     subformula_closure,
 )
@@ -83,6 +109,13 @@ def _trace_families(cluster: frozenset, n: int):
         yield frozenset(q for q in all_sets if (q & cluster) in tset)
 
 
+def _temporal_relations(n: int):
+    """Every relation on range(n), in bitmask order."""
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    for tmask in range(1 << len(pairs)):
+        yield frozenset(pairs[i] for i in range(len(pairs)) if tmask >> i & 1)
+
+
 def sat_search(
     f: Formula,
     max_states: int = DEFAULT_MAX_STATES,
@@ -97,25 +130,22 @@ def sat_search(
     atoms = tuple(sorted(atoms_of(core))) or ("p",)
     agents = tuple(sorted(agents_of(core))) or ("a",)
     needs_families = mentions_neighbourhood(core)
+    needs_temporal = mentions_temporal(core)
     _, bound = closure_bound(f)
+    rows = [frozenset(p for i, p in enumerate(atoms) if mask >> i & 1)
+            for mask in range(1 << len(atoms))]
 
     explored = 0
     for n in range(1, max_states + 1):
         states = tuple(f"s{i}" for i in range(n))
-        empty_fams = {a: tuple(frozenset() for _ in range(n)) for a in agents}
-        pairs = [(x, y) for x in range(n) for y in range(n)]
-        for label_mask in itertools.product(range(1 << len(atoms)), repeat=n):
-            labeling = tuple(
-                frozenset(p for i, p in enumerate(atoms) if mask >> i & 1)
-                for mask in label_mask
-            )
-            for tmask in range(1 << len(pairs)):
-                temporal = frozenset(
-                    pairs[i] for i in range(len(pairs)) if tmask >> i & 1
-                )
-                for belief, fams in _belief_and_families(
-                    agents, n, needs_families
-                ):
+        intent = {a: (frozenset(),) * n for a in agents}
+        labelings = [tuple(rows[i] for i in combo) for combo in
+                     itertools.combinations_with_replacement(range(len(rows)), n)]
+        components = list(_belief_and_families(agents, n, needs_families))
+        temporals = _temporal_relations(n) if needs_temporal else (frozenset(),)
+        for temporal in temporals:
+            for labeling in labelings:
+                for belief, pref in components:
                     explored += 1
                     if explored > budget:
                         return SatResult(
@@ -124,10 +154,9 @@ def sat_search(
                     m = Model(
                         states=states, atoms=atoms, agents=agents,
                         labeling=labeling, belief=belief, temporal=temporal,
-                        pref=fams, intent=dict(empty_fams),
+                        pref=pref, intent=intent,
                     )
-                    sat = eval_formula(m, core)
-                    if not sat:
+                    if not eval_formula(m, core):
                         continue
                     if not validate_model(m).passed:
                         continue
@@ -144,23 +173,20 @@ def _belief_and_families(agents, n: int, needs_families: bool):
     """Cross product of KD45 belief relations and, when the formula actually
     mentions preference or intention, trace-determined preference families
     constant on each belief cluster."""
-    per_agent = []
-    for _ in agents:
-        options = []
-        for rel, assignment in _kd45_relations(n):
-            if not needs_families:
-                options.append((rel, tuple(frozenset() for _ in range(n))))
-                continue
-            clusters = sorted(set(assignment), key=sorted)
-            for choice in itertools.product(
-                *(list(_trace_families(k, n)) for k in clusters)
-            ):
-                fam_by_cluster = dict(zip(clusters, choice))
-                options.append(
-                    (rel, tuple(fam_by_cluster[assignment[x]] for x in range(n)))
-                )
-        per_agent.append(options)
-    for combo in itertools.product(*per_agent):
-        belief = {a: combo[i][0] for i, a in enumerate(agents)}
-        fams = {a: combo[i][1] for i, a in enumerate(agents)}
+    options = []
+    for rel, assignment in _kd45_relations(n):
+        if not needs_families:
+            options.append((rel, (frozenset(),) * n))
+            continue
+        clusters = sorted(set(assignment), key=sorted)
+        for choice in itertools.product(
+            *(list(_trace_families(k, n)) for k in clusters)
+        ):
+            fam_by_cluster = dict(zip(clusters, choice))
+            options.append(
+                (rel, tuple(fam_by_cluster[assignment[x]] for x in range(n)))
+            )
+    for combo in itertools.product(options, repeat=len(agents)):
+        belief = {a: rel for a, (rel, _) in zip(agents, combo)}
+        fams = {a: fam for a, (_, fam) in zip(agents, combo)}
         yield belief, fams

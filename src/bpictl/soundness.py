@@ -425,17 +425,23 @@ def check_instance(m: Model, inst: SchemaInstance) -> str:
     return f"CEX:{m.states[worst]}"
 
 
+class InvalidModelError(ValueError):
+    """A model given to run_suite fails the frame validator."""
+
+    def __init__(self, index: int, report: ValidationReport):
+        super().__init__(f"model {index} is not frame-valid: "
+                         f"{report.violations or report.skipped}")
+        self.report = report
+
+
 def run_suite(models, seed: int = 0, bindings_per_schema: int = 50):
     """Check every schema against every model; models failing the frame
-    validator are rejected up front (ValueError) rather than tested."""
+    validator are rejected up front (InvalidModelError) rather than tested."""
     results = []
     for mid, m in enumerate(models):
         report = validate_model(m)
         if not report.passed:
-            raise ValueError(
-                f"model {mid} is not frame-valid: "
-                f"{report.violations or report.skipped}"
-            )
+            raise InvalidModelError(mid, report)
     for mid, m in enumerate(models):
         formulas = _formula_pool(tuple(m.atoms), tuple(m.agents))
         for schema_id in SCHEMA_IDS:

@@ -77,6 +77,51 @@ def test_axioms_refuses_invalid_model(tmp_path, capsys):
     assert "not frame-valid" in capsys.readouterr().err
 
 
+def test_axioms_prints_the_violations_it_refuses_on(tmp_path, capsys):
+    bad = tmp_path / "bad.bpm"
+    bad.write_text(
+        "states s0 s1\natoms p\nagents a\n"
+        "label s0 = [p]\nlabel s1 = []\n"
+        "RB a s0 -> s1\nRB a s1 -> s0\n"
+    )
+    assert run(["validate", str(bad)]) == 1
+    violations = capsys.readouterr().out
+    assert run(["axioms", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("model is not frame-valid; refusing to certify axioms\n"
+                            + violations)
+
+
+def test_axioms_validates_the_model_once(model_file, monkeypatch, capsys):
+    from bpictl import frames, soundness
+
+    calls = []
+
+    def counted(validate):
+        def wrapper(m):
+            calls.append(m)
+            return validate(m)
+        return wrapper
+
+    monkeypatch.setattr(frames, "validate_model", counted(frames.validate_model))
+    monkeypatch.setattr(soundness, "validate_model",
+                        counted(soundness.validate_model))
+    assert run(["axioms", model_file, "--pool", "1"]) == 0
+    assert len(calls) == 1
+
+
+def test_sat_prints_closure_size_and_bound(capsys):
+    assert run(["sat", "p & !p", "--max-states", "3"]) == 1
+    assert capsys.readouterr().out == (
+        "closure size 5, theoretical model bound 32\n"
+        "no model with at most 3 states (82 candidates)\n"
+    )
+    assert run(["sat", "!" * 70 + "p", "--max-states", "1"]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == "closure size 72, theoretical model bound 2^72"
+
+
 def test_sat_positive(capsys):
     assert run(["sat", "B{a} p & !p", "--max-states", "2"]) == 0
     out = capsys.readouterr().out

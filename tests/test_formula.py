@@ -12,6 +12,7 @@ from bpictl.formula import (
     subformulas,
 )
 from bpictl.oracle import denote
+from bpictl.textio import parse_formula
 
 from conftest import example_model, random_formula
 
@@ -119,3 +120,29 @@ def test_symbols_and_neighbourhood_are_cached_per_node():
     assert F.mentions_neighbourhood(f)
     assert F.mentions_neighbourhood(rewrite_derived(f))
     assert not F.mentions_neighbourhood(F.B("a", F.EX(F.Atom("p"))))
+
+
+@pytest.mark.parametrize("text, temporal, neighbourhood", [
+    ("AG p & B{a} q", True, False),
+    ("P{a} EX p", True, True),
+    ("A[p U true]", True, False),
+    ("!AF true", True, False),
+    ("D{a} !p", False, True),
+    ("I{a} true <-> q", False, True),
+])
+def test_temporal_flag_is_cached_with_the_symbols(text, temporal, neighbourhood):
+    # parsed here, not built in the parameter list: a node held there stays
+    # alive for the whole session and breaks the tests that watch nodes die
+    f = parse_formula(text)
+    assert F.mentions_temporal(f) is temporal
+    assert F.mentions_temporal(rewrite_derived(f)) is temporal
+    assert F.mentions_neighbourhood(f) is neighbourhood
+
+
+def test_descendants_are_a_cached_postorder_without_the_node():
+    p, q = F.Atom("p"), F.Atom("q")
+    f = F.And(F.Or(p, q), F.EU(F.Not(p), F.Or(p, q)))
+    d = F.descendants(f)
+    assert d is F.descendants(f)
+    assert len(d) == len(set(d)) and set(d) == subformulas(f) - {f}
+    assert all(d.index(c) < d.index(g) for g in d for c in g.children())

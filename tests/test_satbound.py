@@ -1,9 +1,16 @@
+import random
+
 import pytest
 
+import satbound_reference as reference
 from bpictl.checker import eval_formula
+from bpictl.formula import mentions_neighbourhood, mentions_temporal, subformulas
 from bpictl.frames import validate_model
+from bpictl.oracle import denote
 from bpictl.satbound import closure_bound, sat_search
-from bpictl.textio import parse_formula
+from bpictl.textio import parse_formula, render_formula
+
+from conftest import random_formula
 
 
 @pytest.mark.parametrize("text, size", [
@@ -71,3 +78,59 @@ def test_intention_formula_unsat_under_frame_conditions():
 def test_negative_intention_valid():
     r = sat_search(parse_formula("!I{a} p"), max_states=1)
     assert r.verdict == "sat"
+
+
+@pytest.mark.parametrize("states, candidates", [(3, 82), (4, 527)])
+def test_contradiction_candidate_counts(states, candidates):
+    # one atom, one agent, no temporal operator: sorted labelings times
+    # KD45 relations, summed over the sizes (2x1 + 3x4 + 4x17 + 5x89)
+    r = sat_search(parse_formula("p & !p"), max_states=states)
+    assert r.verdict == "unsat-up-to"
+    assert r.explored == candidates
+
+
+def _assert_witness(r, f):
+    assert validate_model(r.model).passed
+    assert r.model.index(r.witness) in denote(r.model, f)
+
+
+def _corpus():
+    rng = random.Random(5)
+    return [
+        random_formula(rng, ("p", "q")[:rng.randint(1, 2)], ("a",),
+                       depth=rng.randint(1, 3))
+        for _ in range(150)
+    ]
+
+
+def test_verdicts_match_reference_up_to_two_states():
+    corpus = _corpus()
+    ops = {g.op for f in corpus for g in subformulas(f)}
+    assert ops >= {"atom", "true", "not", "and", "or", "imp", "iff", "B", "P", "I",
+                   "D", "AX", "EX", "EF", "EG", "AG", "AF", "EU", "AU"}
+    verdicts = set()
+    for f in corpus:
+        expected, _, _, _ = reference.sat_search(f, 2)
+        r = sat_search(f, max_states=2)
+        assert r.verdict == expected, render_formula(f)
+        if r.verdict == "sat":
+            _assert_witness(r, f)
+        verdicts.add(r.verdict)
+    assert verdicts == {"sat", "unsat-up-to"}
+
+
+@pytest.mark.parametrize("text, verdict", [
+    ("B{a} p & !B{a} B{a} p", "unsat-up-to"),
+    # a state with neither atom believing p | q while doubting p and doubting q
+    # needs belief successors labelled {p} and {q}: three states
+    ("!p & !q & B{a}(p | q) & !B{a} p & !B{a} q", "sat"),
+])
+def test_verdicts_match_reference_at_three_states(text, verdict):
+    f = parse_formula(text)
+    assert not mentions_temporal(f) and not mentions_neighbourhood(f)
+    expected, _, _, _ = reference.sat_search(f, 3)
+    r = sat_search(f, max_states=3)
+    assert r.verdict == expected == verdict
+    if verdict == "sat":
+        assert r.model.n == 3
+        _assert_witness(r, f)

@@ -2,8 +2,11 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpictl import formula as F
+from bpictl.model import ModelError, UndeclaredSymbolError
 from bpictl.textio import (
     ParseError,
     parse_formula,
@@ -176,3 +179,42 @@ def test_deep_formula_roundtrip_and_free(text):
     ref = weakref.ref(f)
     del f, again
     assert ref() is None
+
+
+# Parser fuzzing: whatever the text, only the parsers' documented errors
+# may escape.
+
+_PARSE_ERRORS = (ParseError, ModelError, UndeclaredSymbolError)
+_FORMULA_WORDS = ["p", "q", "true", "!", "&", "|", "->", "<->", "(", ")", "B", "P",
+                  "I", "D", "{", "}", "a", "AX", "EX", "EF", "EG", "AG", "AF", "E",
+                  "A", "[", "]", "U", " ", "\n", "#", "-", "<"]
+_MODEL_WORDS = ["states", "atoms", "agents", "label", "RX", "RB", "RP", "RI", "s0",
+                "s1", "p", "q", "a", "b", "=", "[", "]", "{", "}", "->", "#", " ",
+                "\n", "\n", "\t", "\r", "\x0c", "\x85", "-", ">"]
+
+
+def _sentences(words):
+    # free text alone rarely gets past the first token; word salad over the
+    # grammar's own vocabulary reaches the later checks
+    return st.one_of(st.text(), st.lists(st.sampled_from(words)).map(" ".join),
+                     st.lists(st.sampled_from(words)).map("".join))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_sentences(_FORMULA_WORDS))
+def test_parse_formula_raises_only_parse_errors(text):
+    try:
+        parse_formula(text)
+    except _PARSE_ERRORS:
+        pass
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_sentences(_MODEL_WORDS),
+                 _sentences(_MODEL_WORDS).map(
+                     lambda body: "states s0 s1\natoms p q\nagents a b\n" + body)))
+def test_parse_model_raises_only_parse_errors(text):
+    try:
+        parse_model(text)
+    except _PARSE_ERRORS:
+        pass
