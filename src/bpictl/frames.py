@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .model import Model, bits, mask_of
+from .model import Masks, Model, bits, mask_of
 
 # Conditions quantifying over one arbitrary state set range over 2^n sets;
 # over two, 4^n pairs. Caps keep the literal semantics while bounding runtime.
@@ -326,6 +326,15 @@ def _find_BX2(mk, a):
     return _per_state(
         mk.belief[a], lambda s: [(q,) for q in sets if _bx2_fails(mk, a, s, q)]
     )
+
+
+def clashes_with_temporal(n: int, belief: tuple, temporal: tuple) -> bool:
+    """Whether BX1 or BX2 fails for one agent's belief successor masks under
+    the temporal successor masks. They read nothing else of a model, so
+    every model holding the pair fails validation."""
+    mk = Masks(n=n, full=(1 << n) - 1, belief={None: belief},
+               temporal=temporal, pref={}, intent={})
+    return any(_find_BX1(mk, None)) or any(_find_BX2(mk, None))
 
 
 class _Condition(NamedTuple):

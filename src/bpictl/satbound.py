@@ -39,9 +39,19 @@ Two reductions shrink the space further without losing completeness:
   a frame-valid model of such a formula stays a frame-valid model of it
   once T is replaced by the empty relation.
 
+For each temporal relation T, a belief relation that BX1 or BX2 rejects
+together with T is left out of every agent's choices: no model holding
+that pair is frame-valid. The identity belief relation never clashes (a
+belief, temporal, belief path is a temporal step, and the states whose
+belief successors lie in Q are Q itself), so every T still yields
+candidates, and the work between two counted candidates stays bounded by
+one pass over the belief relations.
+
 Within one search, each size's components (KD45 relations with their
-preference families, the sorted labelings, the temporal relations) are
-built once, not per candidate. Nothing is kept between searches.
+preference families, the sorted labelings) are built once, and the
+temporal relations are generated once; the combinations of the agents'
+choices are produced lazily, one candidate at a time, so the budget bounds
+the work. Nothing is kept between searches.
 """
 
 from __future__ import annotations
@@ -59,8 +69,8 @@ from .formula import (
     rewrite_derived,
     subformula_closure,
 )
-from .frames import validate_model
-from .model import Model, powerset
+from .frames import clashes_with_temporal, validate_model
+from .model import Model, mask_of, powerset
 
 DEFAULT_MAX_STATES = 3
 DEFAULT_BUDGET = 10_000_000
@@ -110,10 +120,23 @@ def _trace_families(cluster: frozenset, n: int):
 
 
 def _temporal_relations(n: int):
-    """Every relation on range(n), in bitmask order."""
+    """Every relation on range(n), in bitmask order, with its successor
+    masks."""
     pairs = [(x, y) for x in range(n) for y in range(n)]
+    row = (1 << n) - 1
     for tmask in range(1 << len(pairs)):
-        yield frozenset(pairs[i] for i in range(len(pairs)) if tmask >> i & 1)
+        yield (frozenset(pairs[i] for i in range(len(pairs)) if tmask >> i & 1),
+               tuple(tmask >> x * n & row for x in range(n)))
+
+
+def _clashing(relations, n: int, successors: tuple) -> set:
+    """The belief relations that BX1 or BX2 rejects together with the
+    temporal relation of these successor masks; none when it is empty (see
+    the module docstring)."""
+    if not any(successors):
+        return set()
+    return {rel for rel, succ in relations
+            if clashes_with_temporal(n, succ, successors)}
 
 
 def sat_search(
@@ -141,11 +164,14 @@ def sat_search(
         intent = {a: (frozenset(),) * n for a in agents}
         labelings = [tuple(rows[i] for i in combo) for combo in
                      itertools.combinations_with_replacement(range(len(rows)), n)]
-        components = list(_belief_and_families(agents, n, needs_families))
-        temporals = _temporal_relations(n) if needs_temporal else (frozenset(),)
-        for temporal in temporals:
+        relations, options = _belief_options(n, needs_families)
+        temporals = (_temporal_relations(n) if needs_temporal
+                     else ((frozenset(), (0,) * n),))
+        for temporal, successors in temporals:
+            clash = _clashing(relations, n, successors)
+            allowed = [o for o in options if o[0] not in clash]
             for labeling in labelings:
-                for belief, pref in components:
+                for combo in itertools.product(allowed, repeat=len(agents)):
                     explored += 1
                     if explored > budget:
                         return SatResult(
@@ -153,8 +179,9 @@ def sat_search(
                         )
                     m = Model(
                         states=states, atoms=atoms, agents=agents,
-                        labeling=labeling, belief=belief, temporal=temporal,
-                        pref=pref, intent=intent,
+                        labeling=labeling, temporal=temporal, intent=intent,
+                        belief={a: rel for a, (rel, _) in zip(agents, combo)},
+                        pref={a: fam for a, (_, fam) in zip(agents, combo)},
                     )
                     if not eval_formula(m, core):
                         continue
@@ -169,12 +196,15 @@ def sat_search(
     return SatResult("unsat-up-to", None, None, explored, bound, max_states)
 
 
-def _belief_and_families(agents, n: int, needs_families: bool):
-    """Cross product of KD45 belief relations and, when the formula actually
-    mentions preference or intention, trace-determined preference families
-    constant on each belief cluster."""
+def _belief_options(n: int, needs_families: bool):
+    """One agent's choices at size n: the KD45 belief relations with their
+    successor masks, and the options, each a belief relation paired with,
+    when the formula mentions preference or intention, trace-determined
+    preference families constant on each belief cluster."""
+    relations = []
     options = []
     for rel, assignment in _kd45_relations(n):
+        relations.append((rel, tuple(mask_of(k) for k in assignment)))
         if not needs_families:
             options.append((rel, (frozenset(),) * n))
             continue
@@ -186,7 +216,4 @@ def _belief_and_families(agents, n: int, needs_families: bool):
             options.append(
                 (rel, tuple(fam_by_cluster[assignment[x]] for x in range(n)))
             )
-    for combo in itertools.product(options, repeat=len(agents)):
-        belief = {a: rel for a, (rel, _) in zip(agents, combo)}
-        fams = {a: fam for a, (_, fam) in zip(agents, combo)}
-        yield belief, fams
+    return relations, options

@@ -9,6 +9,7 @@ from bpictl.frames import (
     CONDITION_NAMES,
     ConditionSkipped,
     check_condition,
+    clashes_with_temporal,
     recheck,
     validate_model,
 )
@@ -186,6 +187,23 @@ def test_conditions_match_literal_reference(name):
         # the reference enumerates in the canonical order
         assert got == want
         assert all(recheck(m, v) for v in got)
+
+
+def test_clashes_with_temporal_is_bx1_or_bx2():
+    rng = random.Random(17)
+    clashes = 0
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        states = tuple(f"s{i}" for i in range(n))
+        belief, temporal = (
+            [(x, y) for x in states for y in states if rng.random() < 0.4]
+            for _ in range(2)
+        )
+        m = make_model(states=states, belief={"a": belief}, temporal=temporal)
+        expected = bool(check_condition("BX1", m) or check_condition("BX2", m))
+        assert clashes_with_temporal(n, m.masks.belief["a"], m.masks.temporal) == expected
+        clashes += expected
+    assert 40 < clashes < 360
 
 
 def test_violation_order_is_canonical():

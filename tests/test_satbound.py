@@ -5,7 +5,8 @@ import pytest
 import satbound_reference as reference
 from bpictl.checker import eval_formula
 from bpictl.formula import mentions_neighbourhood, mentions_temporal, subformulas
-from bpictl.frames import validate_model
+from bpictl.frames import check_condition, validate_model
+from bpictl.model import Model
 from bpictl.oracle import denote
 from bpictl.satbound import closure_bound, sat_search
 from bpictl.textio import parse_formula, render_formula
@@ -87,6 +88,38 @@ def test_contradiction_candidate_counts(states, candidates):
     r = sat_search(parse_formula("p & !p"), max_states=states)
     assert r.verdict == "unsat-up-to"
     assert r.explored == candidates
+
+
+def test_budget_bounds_a_three_agent_search():
+    # each agent has 2, 16 and 238 choices at 1, 2 and 3 states; the agents'
+    # choices are combined one candidate at a time, so a budget just past
+    # the 16 + 12,288 candidates of sizes 1 and 2 stops early in size 3
+    f = parse_formula("P{a} p & P{b} p & P{c} p & p & !p")
+    r = sat_search(f, max_states=3, budget=12_400)
+    assert r.verdict == "aborted"
+    assert r.explored == 12_400
+
+
+def test_temporal_search_skips_clashing_pairs():
+    # EX p & AX !p is unsat. Each temporal relation is paired only with the
+    # belief relations that pass BX1 and BX2 with it, counted here with
+    # check_condition; one atom gives n + 1 sorted labelings at n states.
+    expected = 0
+    for n in (1, 2, 3):
+        states = tuple(f"s{i}" for i in range(n))
+        pairs = [(x, y) for x in range(n) for y in range(n)]
+        empty = {"a": (frozenset(),) * n}
+        for tmask in range(1 << len(pairs)):
+            temporal = frozenset(p for i, p in enumerate(pairs) if tmask >> i & 1)
+            for rel, _ in reference._kd45_relations(n):
+                m = Model(states=states, atoms=("p",), agents=("a",),
+                          labeling=(frozenset(),) * n, belief={"a": rel},
+                          temporal=temporal, pref=empty, intent=empty)
+                if not check_condition("BX1", m) and not check_condition("BX2", m):
+                    expected += n + 1
+    r = sat_search(parse_formula("EX p & AX !p"), max_states=3)
+    assert r.verdict == "unsat-up-to"
+    assert r.explored == expected
 
 
 def _assert_witness(r, f):
