@@ -4,6 +4,10 @@ Processes core subformulas innermost-first, growing a per-state label set:
 boolean cases by set algebra, modalities through Pre primitives, EF/EU by
 backward worklist propagation and EG by decomposition into nontrivial
 strongly connected components.
+
+Each evaluation reads the model through an ``Index`` of adjacency lists,
+built for that evaluation only and each list on first use, so a formula of
+size |f| costs O(|f|·(|S|+|R|)) (Clarke, Emerson & Sistla, TOPLAS 1986).
 """
 
 from __future__ import annotations
@@ -20,37 +24,76 @@ class SccPartition:
     nontrivial: tuple  # tuple[bool, ...], aligned with components
 
 
-def pre_modal(kind: str, m: Model, agent: str | None, rho: StateSet) -> StateSet:
+class Index:
+    """Adjacency lists of one model: per state, its predecessors under T or
+    under one agent's belief relation, and its temporal successors. Each
+    list family is built on first use, in one pass over the pairs. It is
+    made per evaluation and not kept on the model: most models (every sat
+    candidate) are checked once."""
+
+    __slots__ = ("model", "_preds", "_succ")
+
+    def __init__(self, m: Model):
+        self.model = m
+        self._preds = {}  # agent, or None for T -> per state: predecessors
+        self._succ = None
+
+    def preds(self, agent: str | None = None) -> list:
+        """Per state: its predecessors under agent's belief relation, or
+        under T when agent is None."""
+        lists = self._preds.get(agent)
+        if lists is None:
+            m = self.model
+            lists = [[] for _ in range(m.n)]
+            for x, t in m.temporal if agent is None else m.belief[agent]:
+                lists[t].append(x)
+            self._preds[agent] = lists
+        return lists
+
+    def successors(self) -> list:
+        """Per state: its temporal successors."""
+        if self._succ is None:
+            self._succ = [[] for _ in range(self.model.n)]
+            for x, t in self.model.temporal:
+                self._succ[x].append(t)
+        return self._succ
+
+
+def pre_modal(kind: str, index: Index, agent: str | None, rho: StateSet) -> StateSet:
     """Pre primitive for one modal operator applied to the state set rho."""
-    n = m.n
+    m = index.model
     if kind in ("B", "P", "I"):
         if agent is None:
             raise ValueError(f"pre_modal({kind!r}) needs an agent")
         if agent not in m.agents:
             raise UndeclaredSymbolError("agent", agent)
-    if kind == "B":
-        rel = m.belief[agent]
-        return frozenset(s for s in range(n) if all(t in rho for (x, t) in rel if x == s))
-    if kind == "P":
-        return frozenset(s for s in range(n) if rho in m.pref[agent][s])
-    if kind == "I":
-        return frozenset(s for s in range(n) if rho in m.intent[agent][s])
-    if kind == "AX":
-        return frozenset(
-            s for s in range(n) if all(t in rho for (x, t) in m.temporal if x == s)
-        )
+    if kind in ("B", "AX"):
+        # a state fails when some successor lies outside rho
+        preds = index.preds(agent if kind == "B" else None)
+        failing = set()
+        for t in range(m.n):
+            if t not in rho:
+                failing.update(preds[t])
+        return m.universe - failing
     if kind == "EX":
-        return frozenset(
-            s for s in range(n) if any((s, t) in m.temporal for t in rho)
-        )
+        preds = index.preds()
+        found = set()
+        for t in rho:
+            found.update(preds[t])
+        return frozenset(found)
+    if kind == "P":
+        return frozenset(s for s in range(m.n) if rho in m.pref[agent][s])
+    if kind == "I":
+        return frozenset(s for s in range(m.n) if rho in m.intent[agent][s])
     raise ValueError(f"unknown modal kind {kind!r}")
 
 
-def tarjan_scc(sub: StateSet, rel) -> SccPartition:
-    """Maximal SCCs of the subgraph induced by sub; nontrivial components
-    have more than one node or a single node with a self-loop."""
+def tarjan_scc(sub: StateSet, succ: list) -> SccPartition:
+    """Maximal SCCs of the subgraph that sub induces in the graph with
+    successor lists succ; nontrivial components have more than one node or
+    a single node with a self-loop."""
     nodes = sorted(sub)
-    succ = {s: sorted(t for (x, t) in rel if x == s and t in sub) for s in nodes}
+    inside = {s: [t for t in succ[s] if t in sub] for s in nodes}
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     on_stack: set[int] = set()
@@ -71,8 +114,8 @@ def tarjan_scc(sub: StateSet, rel) -> SccPartition:
                 stack.append(node)
                 on_stack.add(node)
             advanced = False
-            for k in range(child_pos, len(succ[node])):
-                child = succ[node][k]
+            for k in range(child_pos, len(inside[node])):
+                child = inside[node][k]
                 if child not in index:
                     work.append((node, k + 1))
                     work.append((child, 0))
@@ -96,7 +139,7 @@ def tarjan_scc(sub: StateSet, rel) -> SccPartition:
                 low[parent] = min(low[parent], low[node])
 
     flags = tuple(
-        len(c) > 1 or ((next(iter(c)), next(iter(c))) in rel) for c in components
+        len(c) > 1 or next(iter(c)) in inside[next(iter(c))] for c in components
     )
     return SccPartition(components=tuple(components), nontrivial=flags)
 
@@ -116,14 +159,11 @@ def eval_formula(m: Model, f: Formula) -> StateSet:
     """The set of states of m satisfying f, by the labeling algorithm."""
     check_symbols(m, f)
     core = rewrite_derived(f)
-    preds = {s: [] for s in range(m.n)}
-    for (x, t) in m.temporal:
-        preds[t].append(x)
-
+    index = Index(m)
     labels: dict[Formula, frozenset] = {}
     for sub in descendants(core):
-        labels[sub] = _eval_node(m, sub, labels, preds)
-    return _eval_node(m, core, labels, preds)
+        labels[sub] = _eval_node(index, sub, labels)
+    return _eval_node(index, core, labels)
 
 
 def _drain_backward(seed, preds, allowed=None) -> frozenset:
@@ -144,7 +184,8 @@ def _drain_backward(seed, preds, allowed=None) -> frozenset:
     return frozenset(labeled)
 
 
-def _eval_node(m: Model, f: Formula, labels, preds) -> frozenset:
+def _eval_node(index: Index, f: Formula, labels) -> frozenset:
+    m = index.model
     op = f.op
     if op == "atom":
         return m.atom_extension(f.name)
@@ -157,19 +198,20 @@ def _eval_node(m: Model, f: Formula, labels, preds) -> frozenset:
     if op == "or":
         return labels[f.left] | labels[f.right]
     if op in ("B", "P", "I", "AX", "EX"):
-        return pre_modal(op, m, f.agent, labels[f.left])
+        return pre_modal(op, index, f.agent, labels[f.left])
     if op == "EF":
-        return _drain_backward(labels[f.left], preds)
+        return _drain_backward(labels[f.left], index.preds())
     if op == "EG":
         restricted = labels[f.left]
-        part = tarjan_scc(restricted, m.temporal)
+        part = tarjan_scc(restricted, index.successors())
         seed = set()
         for comp, flag in zip(part.components, part.nontrivial):
             if flag:
                 seed |= comp
-        return _drain_backward(seed, preds, allowed=restricted)
+        return _drain_backward(seed, index.preds(), allowed=restricted)
     if op == "EU":
-        return _drain_backward(labels[f.right], preds, allowed=labels[f.left] | labels[f.right])
+        return _drain_backward(labels[f.right], index.preds(),
+                               allowed=labels[f.left] | labels[f.right])
     raise ValueError(f"non-core operator reached the checker: {op!r}")
 
 

@@ -24,9 +24,14 @@ EXIT_INTERNAL = 4
 
 def _read_formula(arg: str):
     """Treat the argument as a file when such a file exists, otherwise as
-    inline formula text."""
+    inline formula text. An argument the file system cannot even look up
+    (a name too long for it, say) is not a file."""
     path = Path(arg)
-    if path.is_file():
+    try:
+        is_file = path.is_file()
+    except OSError:
+        is_file = False
+    if is_file:
         return textio.parse_formula(path.read_text())
     return textio.parse_formula(arg)
 

@@ -290,11 +290,12 @@ def parse_model(text: str) -> Model:
     def err(lineno, col, message, expected=None):
         raise ParseError(lineno, col, message, expected)
 
+    # compiled per call, not at import: importing the CLI stays cheap
+    word_re = re.compile(r"->|[={}\[\]]|[A-Za-z_][A-Za-z0-9_]*|\S")
+    ident_re = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
     def words(lineno, line):
-        out = []
-        for m in re.finditer(r"->|[={}\[\]]|[A-Za-z_][A-Za-z0-9_]*|\S", line):
-            out.append((m.group(), m.start() + 1))
-        return out
+        return [(m.group(), m.start() + 1) for m in word_re.finditer(line)]
 
     cursor = 0
 
@@ -306,12 +307,13 @@ def parse_model(text: str) -> Model:
         toks = words(lineno, line)
         if toks[0][0] != keyword:
             err(lineno, toks[0][1], f"found {toks[0][0]!r}", expected=f"{keyword!r} line")
-        names = []
+        names, seen = [], set()
         for (w, col) in toks[1:]:
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", w):
+            if not ident_re.fullmatch(w):
                 err(lineno, col, f"bad identifier {w!r}")
-            if w in names:
+            if w in seen:
                 err(lineno, col, f"duplicate identifier {w!r}")
+            seen.add(w)
             names.append(w)
         if len(names) < minimum:
             err(lineno, toks[0][1], f"{keyword!r} line needs at least {minimum} name(s)")
@@ -364,6 +366,20 @@ def parse_model(text: str) -> Model:
     while cursor < len(lines):
         lineno, line = lines[cursor]
         cursor += 1
+        # Fast path for the bulk of a model: a relation line whose words are
+        # exactly 'RX s -> t' or 'RB a s -> t' with declared names. The
+        # tokenizer splits such a line into the same words, so anything else
+        # (and every error) takes the general path below.
+        parts = line.split()
+        if len(parts) == 4 and parts[0] == "RX" and parts[2] == "->" \
+                and parts[1] in state_set and parts[3] in state_set:
+            rx.add((parts[1], parts[3]))
+            continue
+        if len(parts) == 5 and parts[0] == "RB" and parts[3] == "->" \
+                and parts[1] in agent_set and parts[2] in state_set \
+                and parts[4] in state_set:
+            rb[parts[1]].add((parts[2], parts[4]))
+            continue
         toks = words(lineno, line)
         head, headcol = toks[0]
         if head == "label":

@@ -4,6 +4,7 @@ import pytest
 
 from bpictl import formula as F
 from bpictl.checker import (
+    Index,
     eval_formula,
     is_satisfiable_in,
     is_valid,
@@ -13,7 +14,13 @@ from bpictl.checker import (
 from bpictl.model import UndeclaredSymbolError, make_model
 from bpictl.oracle import denote
 
-from conftest import example_model, random_core_formula, random_model
+from conftest import (
+    example_model,
+    large_check_formula,
+    random_core_formula,
+    random_model,
+    sparse_model,
+)
 
 
 @pytest.fixture
@@ -22,29 +29,29 @@ def m():
 
 
 def test_pre_modal_belief(m):
-    assert pre_modal("B", m, "a", frozenset({0})) == frozenset()
-    assert pre_modal("B", m, "a", m.universe) == m.universe
+    assert pre_modal("B", Index(m), "a", frozenset({0})) == frozenset()
+    assert pre_modal("B", Index(m), "a", m.universe) == m.universe
 
 
 def test_pre_modal_neighbourhood(m):
-    assert pre_modal("P", m, "a", m.universe) == m.universe
-    assert pre_modal("P", m, "a", frozenset({0})) == frozenset()
-    assert pre_modal("I", m, "a", m.universe) == frozenset()
+    assert pre_modal("P", Index(m), "a", m.universe) == m.universe
+    assert pre_modal("P", Index(m), "a", frozenset({0})) == frozenset()
+    assert pre_modal("I", Index(m), "a", m.universe) == frozenset()
 
 
 def test_pre_modal_temporal(m):
-    assert pre_modal("EX", m, None, frozenset({0})) == {0}
-    assert pre_modal("AX", m, None, frozenset({0})) == {0}
+    assert pre_modal("EX", Index(m), None, frozenset({0})) == {0}
+    assert pre_modal("AX", Index(m), None, frozenset({0})) == {0}
 
 
 def test_pre_modal_rejects_unknown_agent(m):
     with pytest.raises(UndeclaredSymbolError):
-        pre_modal("B", m, "zzz", m.universe)
+        pre_modal("B", Index(m), "zzz", m.universe)
 
 
 def test_tarjan_components():
-    rel = frozenset({(0, 1), (1, 0), (2, 2), (3, 0)})
-    part = tarjan_scc(frozenset({0, 1, 2, 3}), rel)
+    succ = [[1], [0], [2], [0]]  # 0 <-> 1, 2 -> 2, 3 -> 0
+    part = tarjan_scc(frozenset({0, 1, 2, 3}), succ)
     comps = set(part.components)
     assert frozenset({0, 1}) in comps
     assert frozenset({2}) in comps
@@ -56,8 +63,8 @@ def test_tarjan_components():
 
 
 def test_tarjan_respects_induced_subgraph():
-    rel = frozenset({(0, 1), (1, 0)})
-    part = tarjan_scc(frozenset({0}), rel)
+    succ = [[1], [0]]
+    part = tarjan_scc(frozenset({0}), succ)
     assert part.components == (frozenset({0}),)
     assert part.nontrivial == (False,)
 
@@ -96,3 +103,12 @@ def test_differential_against_oracle():
         m = random_model(rng)
         f = random_core_formula(rng, m.atoms, m.agents, depth=4)
         assert eval_formula(m, f) == denote(m, f)
+
+
+@pytest.mark.parametrize("n, formulas", [(100, 12), (1_000, 6), (10_000, 3)])
+def test_differential_against_oracle_on_sparse_models(n, formulas):
+    rng = random.Random(f"sparse:{n}")
+    m = sparse_model(rng, n, agents=("a", "b"))
+    for _ in range(formulas):
+        f = large_check_formula(rng, m.atoms, m.agents)
+        assert eval_formula(m, f) == denote(m, f), f

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bpictl import cli
@@ -204,6 +206,7 @@ def deep_formula_file(tmp_path_factory):
 @pytest.mark.parametrize("argv, codes", [
     (["check", "MODEL", "FORMULA"], (0, 1)),
     (["check", "--valid", "MODEL", "FORMULA"], (0, 1)),
+    (["check", "--oracle", "MODEL", "FORMULA"], (0, 1)),
     (["fmt", "FORMULA"], (0,)),
     (["sat", "FORMULA", "--max-states", "1", "--budget", "1"], (0, 1, 3)),
 ])
@@ -214,6 +217,32 @@ def test_deep_formula_file(model_file, deep_formula_file, argv, codes, capsys):
     assert err == ""
     if argv[0] == "fmt":
         assert out == "!" * 100_000 + "p\n"
+
+
+@pytest.mark.parametrize("command", ["check", "sat"])
+def test_long_inline_formula_is_not_a_file_name(model_file, command, capsys):
+    formula = " & ".join(["p"] * 200)  # longer than a file name may be
+    assert len(formula.encode()) > 255
+    argv = ["check", model_file, formula] if command == "check" else ["sat", formula]
+    assert run(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith("states: s0\n" if command == "check" else "closure size")
+
+
+def test_check_runs_on_a_hundred_thousand_state_model(tmp_path, capsys):
+    # 10^5 states, 3 * 10^5 temporal edges: parsing and labeling are linear
+    n = 100_000
+    rng = random.Random(17)
+    lines = [" ".join(["states", *(f"s{i}" for i in range(n))]), "atoms p q", "agents a"]
+    lines += [f"label s{i} = [{'p' if rng.random() < 0.5 else ''}]" for i in range(n)]
+    lines += [f"RX s{x} -> s{y}" for x in range(n) for y in rng.sample(range(n), 3)]
+    lines += [f"RB a s{x} -> s{x}" for x in range(n)]
+    path = tmp_path / "big.bpm"
+    path.write_text("\n".join(lines) + "\n")
+    # no state is labeled q and belief is reflexive, so EF B{a} q holds nowhere
+    assert run(["check", str(path), "EG (p | q) & E[p U AX q] & EF B{a} q"]) == 1
+    assert capsys.readouterr() == ("states: (none)\n", "")
 
 
 def test_unexpected_exception_exits_4(model_file, monkeypatch, capsys):

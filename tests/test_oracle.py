@@ -6,7 +6,8 @@ from bpictl import formula as F
 from bpictl.model import UndeclaredSymbolError, make_model
 from bpictl.oracle import denote, ev_exists_next, ev_globally, ev_until
 
-from conftest import example_model, random_core_formula, random_model
+import oracle_reference
+from conftest import example_model, random_core_formula, random_model, sparse_model
 
 
 @pytest.fixture
@@ -92,3 +93,42 @@ def test_fixpoint_invariants_random():
         m = random_model(rng)
         f = random_core_formula(rng, m.atoms, m.agents, depth=3)
         _fixpoint_invariants(m, f)
+
+
+CORE_OPS = ("atom", "true", "not", "and", "or", "B", "P", "I", "AX", "EX", "EF", "EG", "EU")
+
+
+def _with_top(rng, op, atoms, agents, depth):
+    """A random core formula whose outermost operator is op."""
+    sub = lambda: random_core_formula(rng, atoms, agents, depth)
+    if op == "atom":
+        return F.Atom(rng.choice(atoms))
+    if op == "true":
+        return F.TRUE
+    if op in ("not", "AX", "EX", "EF", "EG"):
+        return {"not": F.Not, "AX": F.AX, "EX": F.EX, "EF": F.EF, "EG": F.EG}[op](sub())
+    if op in ("B", "P", "I"):
+        return {"B": F.B, "P": F.P, "I": F.I}[op](rng.choice(agents), sub())
+    return {"and": F.And, "or": F.Or, "EU": F.EU}[op](sub(), sub())
+
+
+@pytest.mark.parametrize("op", CORE_OPS)
+def test_denote_matches_per_state_reference(op):
+    rng = random.Random(f"oracle-reference:{op}")
+    for _ in range(120):
+        m = random_model(rng)
+        f = _with_top(rng, op, m.atoms, m.agents, depth=3)
+        assert denote(m, f) == oracle_reference.denote(m, f), f
+    for _ in range(3):
+        m = sparse_model(rng, 200)
+        f = _with_top(rng, op, m.atoms, m.agents, depth=2)
+        assert denote(m, f) == oracle_reference.denote(m, f), f
+
+
+def test_denote_handles_deep_nesting():
+    # far past the recursion limit; EF is evaluated directly, not as E[true U .]
+    f = F.Atom("p")
+    for _ in range(10_000):
+        f = F.EF(F.Not(f))
+    m = example_model()
+    assert denote(m, f) == {0}

@@ -153,6 +153,32 @@ def test_model_parse_errors(bad):
         parse_model(bad)
 
 
+_RELATION_HEAD = "states s0 s1\natoms p\nagents a\nlabel s0 = []\nlabel s1 = []\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("RX s0 -> s1 s2", "6:7: malformed relation line (expected '<state> -> <state>')"),
+    ("RX s0 s1", "6:7: malformed relation line (expected '<state> -> <state>')"),
+    ("RX", "6:1: malformed relation line (expected '<state> -> <state>')"),
+    ("RB a s0 - > s1", "6:9: malformed relation line (expected '<state> -> <state>')"),
+    ("RB a s0 ->", "6:9: malformed relation line (expected '<state> -> <state>')"),
+    ("RB zz s0 -> s1", "6:4: undeclared agent 'zz'"),
+    ("RX s0 -> s9", "6:10: undeclared state 's9'"),
+    ("RB a s9 -> s0", "6:6: undeclared state 's9'"),
+])
+def test_malformed_relation_line_errors(line, message):
+    # whatever reads relation lines quickly must leave these to the tokenizer
+    with pytest.raises(ParseError) as info:
+        parse_model(_RELATION_HEAD + line)
+    assert str(info.value) == message
+
+
+def test_relation_lines_need_no_spaces_around_the_arrow():
+    text = _RELATION_HEAD + "RX s0->s1\nRB a s1->s0\n"
+    m = parse_model(text)
+    assert (m.temporal, m.belief["a"]) == (frozenset({(0, 1)}), frozenset({(1, 0)}))
+
+
 def test_model_render_canonical_ordering():
     text = render_model(example_model(states=("s0", "s1", "s2")))
     lines = text.splitlines()
