@@ -120,10 +120,14 @@ def _cmd_fmt(args) -> int:
 
 
 def _looks_like_model(text: str) -> bool:
+    """Whether the first non-comment line is a model's 'states' line: the
+    word 'states' and one or more identifiers. A formula can start with an
+    atom named 'states', but never continues it with a bare identifier."""
     for line in text.splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            return stripped.startswith("states")
+        words = line.split("#", 1)[0].split()
+        if words:
+            return words[0] == "states" and len(words) > 1 and all(
+                w.isascii() and w.isidentifier() for w in words[1:])
     return False
 
 

@@ -47,13 +47,19 @@ class Model:
         self._index = {s: i for i, s in enumerate(self.states)}
         if len(self._index) != n:
             raise ModelError("duplicate state identifiers")
+        atoms = frozenset(self.atoms)
+        if len(atoms) != len(self.atoms):
+            raise ModelError("duplicate atom names")
+        agents = set(self.agents)
+        if not agents:
+            raise ModelError("a model needs at least one agent")
+        if len(agents) != len(self.agents):
+            raise ModelError("duplicate agent names")
         if len(self.labeling) != n:
             raise ModelError(f"labeling has {len(self.labeling)} rows for {n} states")
-        atoms = frozenset(self.atoms)
         for state, row in zip(self.states, self.labeling):
             if not atoms.issuperset(row):
                 raise ModelError(f"state {state!r} has undeclared atom {min(set(row) - atoms)!r}")
-        agents = set(self.agents)
         if not self.belief.keys() == self.pref.keys() == self.intent.keys() == agents:
             raise ModelError("belief, preference and intention tables must cover "
                              f"exactly the declared agents {sorted(agents)}")
@@ -189,10 +195,6 @@ def make_model(
     states = tuple(states)
     atoms = tuple(atoms)
     agents = tuple(agents)
-    if not agents:
-        raise ModelError("a model needs at least one agent")
-    if len(set(agents)) != len(agents):
-        raise ModelError("duplicate agent names")
     idx = {s: i for i, s in enumerate(states)}
 
     def sidx(s: str) -> int:

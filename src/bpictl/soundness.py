@@ -1,10 +1,25 @@
 """Soundness harness for the axiom catalogue.
 
-Axiom schemas are instantiated over pools of concrete formulas and checked
-for validity on frame-valid models; inference rules become conditional
-obligations (if every premise is valid in the model, so is the conclusion).
-Model generation produces candidates that are verified against the full
-frame-condition catalogue before use, so soundness failures cannot be
+``SCHEMAS`` is the catalogue in the ``.bpi`` syntax, with the atoms
+``phi``, ``psi`` and ``chi`` as metavariables and ``a`` as the agent; it is
+parsed once, on import. ``instantiate`` is simultaneous substitution: one
+pass over a template's subformulas, children first, puts in the bound
+formula for each metavariable and the bound agent for ``a``.
+
+Since the metavariables are distinct atoms, uniform substitution applies
+(Chellas, *Modal Logic*, 1980, ch. 7; Blackburn, de Rijke & Venema, *Modal
+Logic*, 2001, sect. 1.6): an instance holds at a state under a valuation V
+exactly when its schema holds there under the valuation that gives each
+metavariable the denotation of its bound formula under V. So a schema
+valid on every valuation of a frame, with the instance's agent for ``a``,
+has every instance valid on that frame; the same goes for a rule whose
+conclusion is valid under every valuation that makes its premises valid.
+Frame-valid finite models have empty intention families (README, "A note
+on intentions"), so the schemas that mention I hold on them trivially.
+
+An axiom instance must be valid on a model; a rule instance's conclusion
+must be valid on it whenever all its premises are. Generated models are
+checked against every frame condition before use, so a failure cannot be
 blamed on an invalid model.
 """
 
@@ -19,6 +34,7 @@ from .checker import eval_formula, is_valid
 from .frames import ValidationReport, validate_model
 from .formula import Formula
 from .model import Model, make_model, powerset
+from .textio import parse_formula
 
 METAVARS = ("phi", "psi", "chi")
 
@@ -36,244 +52,82 @@ class SchemaInstance:
     obligation: object  # Formula (axiom) or RuleObligation (rule)
 
 
-def _iff(a, b):
-    return F.Iff(a, b)
-
-
-def _imp(a, b):
-    return F.Imp(a, b)
-
-
-# Builders take (bindings dict with metavariable formulas and "agent").
-# Axiom builders return a Formula; rule builders return a RuleObligation.
-
-def _ax_B2(b):
-    a, p, q = b["agent"], b["phi"], b["psi"]
-    return _imp(F.And(F.B(a, p), F.B(a, _imp(p, q))), F.B(a, q))
-
-
-def _ax_B3(b):
-    a, p = b["agent"], b["phi"]
-    return _imp(F.B(a, p), F.B(a, F.B(a, p)))
-
-
-def _ax_B4(b):
-    a, p = b["agent"], b["phi"]
-    return _imp(F.Not(F.B(a, p)), F.B(a, F.Not(F.B(a, p))))
-
-
-def _ax_B5(b):
-    a, p = b["agent"], b["phi"]
-    return _imp(F.B(a, p), F.Not(F.B(a, F.Not(p))))
-
-
-def _ax_P1(b):
-    a, p, q = b["agent"], b["phi"], b["psi"]
-    return _imp(F.And(F.P(a, p), F.P(a, q)), F.P(a, F.And(p, q)))
-
-
-def _ax_P2(b):
-    a, p, q = b["agent"], b["phi"], b["psi"]
-    return _imp(F.And(F.P(a, p), F.P(a, _imp(p, q))), F.P(a, q))
-
-
-def _ax_P3(b):
-    a, p = b["agent"], b["phi"]
-    return _imp(F.P(a, F.P(a, p)), F.P(a, p))
-
-
-def _ax_P4(b):
-    a, p = b["agent"], b["phi"]
-    return _imp(F.P(a, F.Not(F.P(a, p))), F.Not(F.P(a, p)))
-
-
-def _ax_AX2(b):
-    p, q = b["phi"], b["psi"]
-    return _imp(F.And(F.AX(p), F.AX(_imp(p, q))), F.AX(q))
-
-
-def _ax_EX1(b):
-    p = b["phi"]
-    return _iff(F.EX(p), F.Not(F.AX(F.Not(p))))
-
-
-def _ax_EF1(b):
-    p = b["phi"]
-    return _iff(F.EF(p), F.EU(F.TRUE, p))
-
-
-def _ax_EG1(b):
-    p = b["phi"]
-    return _iff(F.EG(p), F.And(p, F.EX(F.EG(p))))
-
-
-def _rule_EG2(b):
-    # fixpoint induction: read with a global hypothesis. The bare statewise
-    # implication is falsifiable (take psi := true on a model where some
-    # state satisfies phi and steps into !phi), so the hypothesis must be
-    # checked as model validity, exactly as in the standard CTL system.
-    p, q = b["phi"], b["psi"]
-    return RuleObligation(
-        premises=(_iff(q, F.And(p, F.EX(q))),),
-        conclusion=_imp(q, F.EG(p)),
-    )
-
-
-def _ax_EU1(b):
-    p, q = b["phi"], b["psi"]
-    return _iff(F.EU(p, q), F.Or(q, F.And(p, F.EX(F.EU(p, q)))))
-
-
-def _rule_EU2(b):
-    # same reading as EG2: the unfolding hypothesis holds globally
-    p, q, r = b["phi"], b["psi"], b["chi"]
-    return RuleObligation(
-        premises=(_iff(r, F.Or(q, F.And(p, F.EX(r)))),),
-        conclusion=_imp(F.EU(p, q), r),
-    )
-
-
-def _ax_BP1(b):
-    a, p, q = b["agent"], b["phi"], b["psi"]
-    return _imp(F.And(F.B(a, _iff(p, q)), F.P(a, p)), F.P(a, q))
-
-
-def _ax_BP2(b):
-    a, p = b["agent"], b["phi"]
-    return _imp(F.P(a, p), F.B(a, F.P(a, p)))
-
-
-def _ax_BP3(b):
-    a, p = b["agent"], b["phi"]
-    return _imp(F.Not(F.P(a, p)), F.B(a, F.Not(F.P(a, p))))
-
-
-def _ax_BP4(b):
-    a, p = b["agent"], b["phi"]
-    return _imp(F.B(a, F.P(a, p)), F.P(a, p))
-
-
-def _ax_BP5(b):
-    a, p = b["agent"], b["phi"]
-    return _imp(F.B(a, F.Not(F.P(a, p))), F.Not(F.P(a, p)))
-
-
-def _ax_BI2(b):
-    a, p = b["agent"], b["phi"]
-    return _imp(F.I(a, p), F.B(a, F.I(a, p)))
-
-
-def _ax_BI3(b):
-    a, p = b["agent"], b["phi"]
-    return _imp(F.Not(F.I(a, p)), F.B(a, F.Not(F.I(a, p))))
-
-
-def _ax_BI4(b):
-    a, p = b["agent"], b["phi"]
-    return _imp(F.B(a, F.I(a, p)), F.I(a, p))
-
-
-def _ax_BI5(b):
-    a, p = b["agent"], b["phi"]
-    return _imp(F.B(a, F.Not(F.I(a, p))), F.Not(F.I(a, p)))
-
-
-def _ax_BI1(b):
-    a, p, q = b["agent"], b["phi"], b["psi"]
-    return _imp(F.And(F.B(a, _iff(p, q)), F.I(a, p)), F.I(a, q))
-
-
-def _ax_BPIEF1(b):
-    a, p = b["agent"], b["phi"]
-    return _imp(F.I(a, p), F.And(F.P(a, p), F.And(F.B(a, F.Not(p)), F.B(a, F.EF(p)))))
-
-
-def _ax_BX1(b):
-    a, p = b["agent"], b["phi"]
-    return _imp(F.B(a, F.AX(p)), F.B(a, F.AX(F.B(a, p))))
-
-
-def _ax_BX2(b):
-    a, p = b["agent"], b["phi"]
-    return _imp(F.B(a, F.EX(p)), F.B(a, F.EX(F.B(a, p))))
-
-
-def _ax_COR2(b):
-    a, p, q = b["agent"], b["phi"], b["psi"]
-    return _imp(F.And(F.P(a, p), F.P(a, _imp(p, F.P(a, q)))), F.P(a, q))
-
-
-def _rule_B1(b):
-    a, p = b["agent"], b["phi"]
-    return RuleObligation(premises=(p,), conclusion=F.B(a, p))
-
-
-def _rule_AX1(b):
-    p = b["phi"]
-    return RuleObligation(premises=(p,), conclusion=F.AX(p))
-
-
-def _rule_COR1a(b):
-    a, p, q = b["agent"], b["phi"], b["psi"]
-    return RuleObligation(
-        premises=(_iff(p, q),), conclusion=_iff(F.P(a, p), F.P(a, q))
-    )
-
-
-def _rule_COR1b(b):
-    a, p, q = b["agent"], b["phi"], b["psi"]
-    return RuleObligation(
-        premises=(_iff(p, q),), conclusion=_iff(F.I(a, p), F.I(a, q))
-    )
-
-
+# One formula is an axiom; with several, the last is a rule's conclusion and
+# the others its premises, read as valid on the model: EG2 and EU2 are
+# fixpoint inductions whose statewise implication is falsifiable (psi :=
+# true where a phi-state steps into !phi), as in the standard CTL system.
 SCHEMAS = {
-    "B1": ("rule", _rule_B1, ("phi",)),
-    "B2": ("axiom", _ax_B2, ("phi", "psi")),
-    "B3": ("axiom", _ax_B3, ("phi",)),
-    "B4": ("axiom", _ax_B4, ("phi",)),
-    "B5": ("axiom", _ax_B5, ("phi",)),
-    "P1": ("axiom", _ax_P1, ("phi", "psi")),
-    "P2": ("axiom", _ax_P2, ("phi", "psi")),
-    "P3": ("axiom", _ax_P3, ("phi",)),
-    "P4": ("axiom", _ax_P4, ("phi",)),
-    "AX1": ("rule", _rule_AX1, ("phi",)),
-    "AX2": ("axiom", _ax_AX2, ("phi", "psi")),
-    "EX1": ("axiom", _ax_EX1, ("phi",)),
-    "EF1": ("axiom", _ax_EF1, ("phi",)),
-    "EG1": ("axiom", _ax_EG1, ("phi",)),
-    "EG2": ("rule", _rule_EG2, ("phi", "psi")),
-    "EU1": ("axiom", _ax_EU1, ("phi", "psi")),
-    "EU2": ("rule", _rule_EU2, ("phi", "psi", "chi")),
-    "BP1": ("axiom", _ax_BP1, ("phi", "psi")),
-    "BP2": ("axiom", _ax_BP2, ("phi",)),
-    "BP3": ("axiom", _ax_BP3, ("phi",)),
-    "BP4": ("axiom", _ax_BP4, ("phi",)),
-    "BP5": ("axiom", _ax_BP5, ("phi",)),
-    "BI1": ("axiom", _ax_BI1, ("phi", "psi")),
-    "BI2": ("axiom", _ax_BI2, ("phi",)),
-    "BI3": ("axiom", _ax_BI3, ("phi",)),
-    "BI4": ("axiom", _ax_BI4, ("phi",)),
-    "BI5": ("axiom", _ax_BI5, ("phi",)),
-    "BPIEF1": ("axiom", _ax_BPIEF1, ("phi",)),
-    "BX1": ("axiom", _ax_BX1, ("phi",)),
-    "BX2": ("axiom", _ax_BX2, ("phi",)),
-    "COR1a": ("rule", _rule_COR1a, ("phi", "psi")),
-    "COR1b": ("rule", _rule_COR1b, ("phi", "psi")),
-    "COR2": ("axiom", _ax_COR2, ("phi", "psi")),
+    "B1": ("phi", "B{a} phi"),
+    "B2": ("B{a} phi & B{a} (phi -> psi) -> B{a} psi",),
+    "B3": ("B{a} phi -> B{a} B{a} phi",),
+    "B4": ("!B{a} phi -> B{a} !B{a} phi",),
+    "B5": ("B{a} phi -> !B{a} !phi",),
+    "P1": ("P{a} phi & P{a} psi -> P{a} (phi & psi)",),
+    "P2": ("P{a} phi & P{a} (phi -> psi) -> P{a} psi",),
+    "P3": ("P{a} P{a} phi -> P{a} phi",),
+    "P4": ("P{a} !P{a} phi -> !P{a} phi",),
+    "AX1": ("phi", "AX phi"),
+    "AX2": ("AX phi & AX (phi -> psi) -> AX psi",),
+    "EX1": ("EX phi <-> !AX !phi",),
+    "EF1": ("EF phi <-> E[true U phi]",),
+    "EG1": ("EG phi <-> phi & EX EG phi",),
+    "EG2": ("psi <-> phi & EX psi", "psi -> EG phi"),
+    "EU1": ("E[phi U psi] <-> psi | phi & EX E[phi U psi]",),
+    "EU2": ("chi <-> psi | phi & EX chi", "E[phi U psi] -> chi"),
+    "BP1": ("B{a} (phi <-> psi) & P{a} phi -> P{a} psi",),
+    "BP2": ("P{a} phi -> B{a} P{a} phi",),
+    "BP3": ("!P{a} phi -> B{a} !P{a} phi",),
+    "BP4": ("B{a} P{a} phi -> P{a} phi",),
+    "BP5": ("B{a} !P{a} phi -> !P{a} phi",),
+    "BI1": ("B{a} (phi <-> psi) & I{a} phi -> I{a} psi",),
+    "BI2": ("I{a} phi -> B{a} I{a} phi",),
+    "BI3": ("!I{a} phi -> B{a} !I{a} phi",),
+    "BI4": ("B{a} I{a} phi -> I{a} phi",),
+    "BI5": ("B{a} !I{a} phi -> !I{a} phi",),
+    "BPIEF1": ("I{a} phi -> P{a} phi & (B{a} !phi & B{a} EF phi)",),
+    "BX1": ("B{a} AX phi -> B{a} AX B{a} phi",),
+    "BX2": ("B{a} EX phi -> B{a} EX B{a} phi",),
+    "COR1a": ("phi <-> psi", "P{a} phi <-> P{a} psi"),
+    "COR1b": ("phi <-> psi", "I{a} phi <-> I{a} psi"),
+    "COR2": ("P{a} phi & P{a} (phi -> P{a} psi) -> P{a} psi",),
 }
 
 SCHEMA_IDS = tuple(SCHEMAS)
 
 
+def _template(texts):
+    """One schema parsed: its formulas, their distinct subformulas with each
+    after its children, and the metavariables they use."""
+    formulas = tuple(map(parse_formula, texts))
+    order = dict.fromkeys(g for f in formulas for g in (*F.descendants(f), f))
+    atoms = frozenset().union(*map(F.atoms_of, formulas))
+    return formulas, tuple(order), tuple(v for v in METAVARS if v in atoms)
+
+
+_TEMPLATES = {sid: _template(texts) for sid, texts in SCHEMAS.items()}
+
+
 def instantiate(schema_id: str, bindings: dict) -> SchemaInstance:
-    """Plug concrete formulas (and an agent) into one schema."""
-    kind, build, needed = SCHEMAS[schema_id]
+    """Plug concrete formulas (and an agent) into one schema: substitute
+    each metavariable atom and the agent simultaneously, children first."""
+    formulas, order, needed = _TEMPLATES[schema_id]
     missing = [v for v in (*needed, "agent") if v not in bindings]
     if missing:
         raise ValueError(f"{schema_id} needs bindings for {missing}")
+    agent = bindings["agent"]
+    image = {None: None}
+    for g in order:
+        if g.op == "atom":
+            image[g] = bindings[g.name]
+        elif g.left is None:  # true
+            image[g] = g
+        else:
+            image[g] = Formula(g.op, None, g.agent and agent,
+                               image[g.left], image[g.right])
+    *premises, conclusion = (image[f] for f in formulas)
+    obligation = RuleObligation(tuple(premises), conclusion) if premises else conclusion
     return SchemaInstance(
-        schema_id=schema_id, binding=dict(bindings), obligation=build(bindings)
+        schema_id=schema_id, binding=dict(bindings), obligation=obligation
     )
 
 
@@ -307,23 +161,16 @@ def binding_pool(schema_id: str, atoms, agents, seed: int, count: int = 50,
     """Deterministic list of `count` metavariable bindings for one schema.
     `formulas` is the formula pool of atoms and agents, when the caller has
     already built it."""
-    _, _, needed = SCHEMAS[schema_id]
+    needed = _TEMPLATES[schema_id][2]
     rng = random.Random(f"{seed}:{schema_id}")
     if formulas is None:
         formulas = _formula_pool(tuple(atoms), tuple(agents))
     agents = tuple(agents)
-    combos = []
-    for tup in itertools.product(formulas, repeat=len(needed)):
-        combos.append(tup)
-        if len(combos) >= 20 * count:
-            break
+    combos = list(itertools.islice(
+        itertools.product(formulas, repeat=len(needed)), 20 * count))
     rng.shuffle(combos)
-    out = []
-    for i, tup in enumerate(combos[:count]):
-        binding = dict(zip(needed, tup))
-        binding["agent"] = agents[i % len(agents)]
-        out.append(binding)
-    return out
+    return [dict(zip(needed, tup), agent=agents[i % len(agents)])
+            for i, tup in enumerate(combos[:count])]
 
 
 # --- frame-valid model generation ------------------------------------------

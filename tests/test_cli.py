@@ -162,6 +162,22 @@ def test_fmt_model_idempotent(tmp_path, capsys):
     assert capsys.readouterr().out == once
 
 
+_TWO_STATES = "states s0 s1\natoms\nagents a\nlabel s0 = []\nlabel s1 = []\n"
+
+
+@pytest.mark.parametrize("text, out", [
+    ("statesful & p\n", "statesful & p\n"),
+    ("# an atom named states\nstates | p\n", "states | p\n"),
+    ("states\n", "states\n"),
+    (_TWO_STATES, _TWO_STATES),
+])
+def test_fmt_tells_formulas_from_models(tmp_path, capsys, text, out):
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert run(["fmt", str(path)]) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_parse_error_exit(model_file, capsys):
     assert run(["check", model_file, "p &"]) == 2
     assert "parse error" in capsys.readouterr().err

@@ -277,6 +277,10 @@ def test_model_accepts_complete_tables():
     ({"pref": {"a": (frozenset(), frozenset({frozenset({2})}))}},
      "neighbourhood member out of range"),
     ({"intent": {"a": (frozenset(),)}}, "family table for 'a' has wrong length"),
+    ({"atoms": ("p", "p")}, "duplicate atom names"),
+    ({"agents": ("a", "a")}, "duplicate agent names"),
+    ({"agents": (), "belief": {}, "pref": {}, "intent": {}},
+     "a model needs at least one agent"),
 ])
 def test_model_rejects_incomplete_tables(changes, message):
     with pytest.raises(ModelError, match=re.escape(message)):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from bpictl import formula as F
@@ -18,8 +20,69 @@ from bpictl.textio import render_formula
 from conftest import example_model
 
 
+# Every schema at phi, psi, chi := p, q, r with agent a, rendered canonically:
+# the premises of a rule, then its conclusion; an axiom alone.
+PINNED = {
+    "B1": ("p", "B{a} p"),
+    "B2": ("B{a} p & B{a} (p -> q) -> B{a} q",),
+    "B3": ("B{a} p -> B{a} B{a} p",),
+    "B4": ("!B{a} p -> B{a} !B{a} p",),
+    "B5": ("B{a} p -> !B{a} !p",),
+    "P1": ("P{a} p & P{a} q -> P{a} (p & q)",),
+    "P2": ("P{a} p & P{a} (p -> q) -> P{a} q",),
+    "P3": ("P{a} P{a} p -> P{a} p",),
+    "P4": ("P{a} !P{a} p -> !P{a} p",),
+    "AX1": ("p", "AX p"),
+    "AX2": ("AX p & AX (p -> q) -> AX q",),
+    "EX1": ("EX p <-> !AX !p",),
+    "EF1": ("EF p <-> E[true U p]",),
+    "EG1": ("EG p <-> p & EX EG p",),
+    "EG2": ("q <-> p & EX q", "q -> EG p"),
+    "EU1": ("E[p U q] <-> q | p & EX E[p U q]",),
+    "EU2": ("r <-> q | p & EX r", "E[p U q] -> r"),
+    "BP1": ("B{a} (p <-> q) & P{a} p -> P{a} q",),
+    "BP2": ("P{a} p -> B{a} P{a} p",),
+    "BP3": ("!P{a} p -> B{a} !P{a} p",),
+    "BP4": ("B{a} P{a} p -> P{a} p",),
+    "BP5": ("B{a} !P{a} p -> !P{a} p",),
+    "BI1": ("B{a} (p <-> q) & I{a} p -> I{a} q",),
+    "BI2": ("I{a} p -> B{a} I{a} p",),
+    "BI3": ("!I{a} p -> B{a} !I{a} p",),
+    "BI4": ("B{a} I{a} p -> I{a} p",),
+    "BI5": ("B{a} !I{a} p -> !I{a} p",),
+    "BPIEF1": ("I{a} p -> P{a} p & (B{a} !p & B{a} EF p)",),
+    "BX1": ("B{a} AX p -> B{a} AX B{a} p",),
+    "BX2": ("B{a} EX p -> B{a} EX B{a} p",),
+    "COR1a": ("p <-> q", "P{a} p <-> P{a} q"),
+    "COR1b": ("p <-> q", "I{a} p <-> I{a} q"),
+    "COR2": ("P{a} p & P{a} (p -> P{a} q) -> P{a} q",),
+}
+
+
 def test_catalog_has_33_schemas():
     assert len(SCHEMA_IDS) == 33
+    assert SCHEMA_IDS == tuple(PINNED)
+
+
+@pytest.mark.parametrize("schema_id", PINNED)
+def test_catalogue_instances_are_pinned(schema_id):
+    binding = {"phi": F.Atom("p"), "psi": F.Atom("q"), "chi": F.Atom("r"),
+               "agent": "a"}
+    obligation = instantiate(schema_id, binding).obligation
+    if isinstance(obligation, RuleObligation):
+        formulas = (*obligation.premises, obligation.conclusion)
+    else:
+        formulas = (obligation,)
+    assert tuple(map(render_formula, formulas)) == PINNED[schema_id]
+
+
+def test_instantiate_substitutes_simultaneously():
+    # the bound formulas mention the metavariable names and the agent
+    # placeholder; neither may be substituted again
+    binding = {"phi": F.Atom("psi"), "psi": F.B("a", F.Atom("phi")), "agent": "b"}
+    inst = instantiate("P1", binding)
+    assert render_formula(inst.obligation) == \
+        "P{b} psi & P{b} B{a} phi -> P{b} (psi & B{a} phi)"
 
 
 def test_instantiate_axiom_eg1():
@@ -41,8 +104,11 @@ def test_instantiate_bpief1():
 
 
 def test_instantiate_missing_binding():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("B2 needs bindings for ['psi']")):
         instantiate("B2", {"phi": F.TRUE, "agent": "a"})
+    with pytest.raises(ValueError, match=re.escape(
+            "EU2 needs bindings for ['phi', 'psi', 'chi', 'agent']")):
+        instantiate("EU2", {})
 
 
 def test_binding_pool_deterministic():
