@@ -186,6 +186,10 @@ CORE_OPS = frozenset(
     {"atom", "true", "not", "and", "or", "B", "P", "I", "AX", "EX", "EF", "EG", "EU"}
 )
 
+# Words the formula parser always reads as the constant or an operator, so
+# no atom may be named by one.
+RESERVED = frozenset({"true", "AX", "EX", "EF", "EG", "AG", "AF"})
+
 # Operators whose semantics read neighbourhood families (D rewrites to P).
 _NEIGHBOURHOOD_OPS = frozenset({"P", "I", "D"})
 

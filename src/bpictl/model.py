@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
+from .formula import RESERVED
+
 StateSet = frozenset  # frozenset[int]
 
 
@@ -55,6 +57,13 @@ class Model:
             raise ModelError("a model needs at least one agent")
         if len(agents) != len(self.agents):
             raise ModelError("duplicate agent names")
+        # render_model writes names as bare words: only identifiers re-parse
+        names = (*self.states, *self.atoms, *self.agents)
+        if not (all(map(str.isidentifier, names)) and "".join(names).isascii()):
+            bad = next(s for s in names if not (s.isascii() and s.isidentifier()))
+            raise ModelError(f"name {bad!r} is not an ASCII identifier")
+        if atoms & RESERVED:
+            raise ModelError(f"atom name {min(atoms & RESERVED)!r} is a reserved word")
         if len(self.labeling) != n:
             raise ModelError(f"labeling has {len(self.labeling)} rows for {n} states")
         for state, row in zip(self.states, self.labeling):
@@ -197,11 +206,6 @@ def make_model(
     agents = tuple(agents)
     idx = {s: i for i, s in enumerate(states)}
 
-    def sidx(s: str) -> int:
-        if s not in idx:
-            raise UndeclaredSymbolError("state", s)
-        return idx[s]
-
     labeling = dict(labeling or {})
     label_rows = []
     for s in states:
@@ -213,26 +217,31 @@ def make_model(
     if labeling:
         raise UndeclaredSymbolError("state", next(iter(labeling)))
 
-    belief = dict(belief or {})
-    bel = {}
-    for a in agents:
-        bel[a] = frozenset((sidx(x), sidx(y)) for (x, y) in belief.pop(a, ()))
-    if belief:
-        raise UndeclaredSymbolError("agent", next(iter(belief)))
-
     def families(table: Mapping | None) -> dict:
         table = dict(table or {})
         out = {}
         for a in agents:
             per_state = [frozenset()] * len(states)
             for s, fam in dict(table.pop(a, {})).items():
-                per_state[sidx(s)] = frozenset(
-                    frozenset(sidx(t) for t in member) for member in fam
+                per_state[idx[s]] = frozenset(
+                    frozenset(idx[t] for t in member) for member in fam
                 )
             out[a] = tuple(per_state)
         if table:
             raise UndeclaredSymbolError("agent", next(iter(table)))
         return out
+
+    # a KeyError is a state name missing from idx, the first one looked up
+    try:
+        belief = dict(belief or {})
+        bel = {a: frozenset((idx[x], idx[y]) for (x, y) in belief.pop(a, ()))
+               for a in agents}
+        if belief:
+            raise UndeclaredSymbolError("agent", next(iter(belief)))
+        rx = frozenset((idx[x], idx[y]) for (x, y) in temporal)
+        pref, intent = families(pref), families(intent)
+    except KeyError as exc:
+        raise UndeclaredSymbolError("state", exc.args[0]) from None
 
     return Model(
         states=states,
@@ -240,9 +249,9 @@ def make_model(
         agents=agents,
         labeling=tuple(label_rows),
         belief=bel,
-        temporal=frozenset((sidx(x), sidx(y)) for (x, y) in temporal),
-        pref=families(pref),
-        intent=families(intent),
+        temporal=rx,
+        pref=pref,
+        intent=intent,
     )
 
 

@@ -1,12 +1,12 @@
 """Bounded satisfiability search.
 
 Iterative deepening over the number of states; at each size every candidate
-model is enumerated from components that already respect the structural
-frame shape (KD45 belief clusters, cluster-constant trace-determined
-preference families, empty intention families), then checked for
-satisfiability first and full frame validity second. The search is complete
-over frame-valid models up to the size bound because those structural
-shapes are forced by the frame conditions, not merely convenient:
+model is enumerated from components that are frame-valid by construction
+(KD45 belief clusters, cluster-constant trace-determined preference
+families, empty intention families), and the first candidate that satisfies
+the formula is returned. The search is complete over frame-valid models up
+to the size bound because those structural shapes are forced by the frame
+conditions, not merely convenient:
 
 - a serial, transitive, euclidean relation is exactly a choice of disjoint
   nonempty clusters plus a map sending every state to a cluster;
@@ -17,6 +17,25 @@ shapes are forced by the frame conditions, not merely convenient:
   (the intended states must avoid the cluster, agreement closure then
   admits the empty set, and reachability rejects it), so only the empty
   intention family can appear.
+
+The shapes are also sufficient, so no candidate is validated. Every frame
+condition reads one agent's components, plus the temporal relation T for
+BX1, BX2 and BPIEF1c, and never the labeling:
+
+- KD45 gives B3-B5.
+- Empty intention families give BI1-BI5 and BPIEF1a-c.
+- A preference family that is constant on a cluster K and is {Q | Q & K in
+  X} for a trace set X gives BP1-BP5, P3 and P4, because the empty set is
+  not in X (so every member of the family meets K) and K lies inside its
+  own basin (every state of K has cluster K, so it has the same family).
+- P1 and P2 on such a family are conditions on X alone (Chellas, *Modal
+  Logic*, 1980, ch. 7, on closure conditions of neighbourhood frames): X is
+  closed under intersection, and X holds t2 whenever it holds some t1 and
+  (K - t1) | t2. Only such trace sets are enumerated.
+- BX1 and BX2 are enforced by the clash filter below.
+
+The witness is validated once before it is returned, and a violation
+raises: it would be a fault in this argument or in the enumerator.
 
 Two reductions shrink the space further without losing completeness:
 
@@ -53,7 +72,6 @@ temporal relations are generated once; the combinations of the agents'
 choices are produced lazily, one candidate at a time, so the budget bounds
 the work. Nothing is kept between searches.
 """
-
 from __future__ import annotations
 
 import itertools
@@ -105,18 +123,21 @@ def _kd45_relations(n: int):
 
 
 def _trace_families(cluster: frozenset, n: int):
-    """Preference families over a cluster: fam = {Q | Q ∩ cluster ∈ T} for a
-    trace set T of nonempty subsets of the cluster (an empty trace would
-    leave the family without a supporting member state)."""
-    traces = [frozenset(t) for t in powerset(len(cluster))]
+    """Preference families over a cluster K: fam = {Q | Q ∩ K ∈ T} for a
+    trace set T of nonempty subsets of K (an empty trace would leave the
+    family without a supporting member state) that is closed under
+    intersection (P1) and holds t2 whenever it holds t1 and (K - t1) | t2
+    (P2). Traces are masks over the sorted members of K."""
     members = sorted(cluster)
-    all_sets = list(powerset(n))
-    for mask in range(1 << len(traces)):
-        chosen = [traces[i] for i in range(len(traces)) if mask >> i & 1]
-        tset = {frozenset(members[i] for i in t) for t in chosen}
-        if frozenset() in tset:
-            continue
-        yield frozenset(q for q in all_sets if (q & cluster) in tset)
+    full = (1 << len(members)) - 1
+    traced = [(q, mask_of(i for i, s in enumerate(members) if s in q))
+              for q in powerset(n)]
+    for mask in range(1 << full):
+        tset = {t for t in range(1, full + 1) if mask >> t - 1 & 1}
+        if all((t2 not in tset or t1 & t2 in tset)                 # P1
+               and (t2 in tset or full & ~t1 | t2 not in tset)     # P2
+               for t1 in tset for t2 in range(full + 1)):
+            yield frozenset(q for q, t in traced if t in tset)
 
 
 def _temporal_relations(n: int):
@@ -146,9 +167,9 @@ def sat_search(
 ) -> SatResult:
     """Search for a frame-valid model of f with at most max_states states.
 
-    Returns sat with a re-verified witness model, unsat-up-to when the
-    bounded space is exhausted, or aborted when the candidate budget runs
-    out first."""
+    Returns sat with a witness model, unsat-up-to when the bounded space is
+    exhausted, or aborted when the candidate budget runs out first. Raises
+    RuntimeError if the witness fails the frame validator."""
     core = rewrite_derived(f)
     atoms = tuple(sorted(atoms_of(core))) or ("p",)
     agents = tuple(sorted(agents_of(core))) or ("a",)
@@ -183,16 +204,13 @@ def sat_search(
                         belief={a: rel for a, (rel, _) in zip(agents, combo)},
                         pref={a: fam for a, (_, fam) in zip(agents, combo)},
                     )
-                    if not eval_formula(m, core):
-                        continue
-                    if not validate_model(m).passed:
-                        continue
-                    # re-verify before reporting
-                    verified = eval_formula(m, f)
-                    if not verified:
-                        continue
-                    witness = m.states[min(verified)]
-                    return SatResult("sat", m, witness, explored, bound, max_states)
+                    sat = eval_formula(m, core)
+                    if sat:
+                        report = validate_model(m)
+                        if not report.passed:
+                            raise RuntimeError(f"witness not frame-valid: {report.violations}")
+                        witness = m.states[min(sat)]
+                        return SatResult("sat", m, witness, explored, bound, max_states)
     return SatResult("unsat-up-to", None, None, explored, bound, max_states)
 
 

@@ -28,7 +28,6 @@ class ParseError(ValueError):
         self.expected = expected
 
 
-RESERVED = frozenset({"true", "AX", "EX", "EF", "EG", "AG", "AF"})
 _AGENT_MODS = {"B": F.B, "P": F.P, "I": F.I, "D": F.D}
 _UNARY_MODS = {"AX": F.AX, "EX": F.EX, "EF": F.EF, "EG": F.EG, "AG": F.AG, "AF": F.AF}
 

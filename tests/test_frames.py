@@ -13,7 +13,7 @@ from bpictl.frames import (
     recheck,
     validate_model,
 )
-from bpictl.model import Model, ModelError, make_model, powerset
+from bpictl.model import Model, ModelError, UndeclaredSymbolError, make_model, powerset
 
 from conftest import example_model
 from frames_reference import reference_violations
@@ -281,7 +281,32 @@ def test_model_accepts_complete_tables():
     ({"agents": ("a", "a")}, "duplicate agent names"),
     ({"agents": (), "belief": {}, "pref": {}, "intent": {}},
      "a model needs at least one agent"),
+    ({"states": ("s 0", "s1")}, "name 's 0' is not an ASCII identifier"),
+    ({"states": ("s0", "0")}, "name '0' is not an ASCII identifier"),
+    ({"agents": ("a b",)}, "name 'a b' is not an ASCII identifier"),
+    ({"atoms": ("p", "é")}, "name 'é' is not an ASCII identifier"),
+    ({"atoms": ("p", "true")}, "atom name 'true' is a reserved word"),
+    ({"atoms": ("AX", "EF")}, "atom name 'AX' is a reserved word"),
 ])
 def test_model_rejects_incomplete_tables(changes, message):
     with pytest.raises(ModelError, match=re.escape(message)):
         _raw(**changes)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"labeling": {"s0": ["q"], "s9": []}}, "undeclared atom: 'q'"),
+    ({"labeling": {"s9": ["p"]}}, "undeclared state: 's9'"),
+    ({"belief": {"a": [("s0", "s8"), ("s9", "s0")]}, "temporal": [("s7", "s0")]},
+     "undeclared state: 's8'"),
+    ({"belief": {"b": []}, "temporal": [("s7", "s0")]}, "undeclared agent: 'b'"),
+    ({"temporal": [("s0", "s1"), ("s9", "s0")], "pref": {"a": {"s8": []}}},
+     "undeclared state: 's9'"),
+    ({"pref": {"a": {"s0": [["s1"], ["s0", "s9"]]}}, "intent": {"a": {"s8": []}}},
+     "undeclared state: 's9'"),
+    ({"pref": {"b": {}}, "intent": {"a": {"s8": []}}}, "undeclared agent: 'b'"),
+    ({"intent": {"a": {"s9": []}}}, "undeclared state: 's9'"),
+])
+def test_make_model_names_the_first_undeclared_symbol(changes, message):
+    fields = dict(states=("s0", "s1"), atoms=("p",), agents=("a",))
+    with pytest.raises(UndeclaredSymbolError, match=re.escape(message)):
+        make_model(**fields, **changes)

@@ -3,12 +3,14 @@ import random
 import pytest
 
 import satbound_reference as reference
+from bpictl import satbound
 from bpictl.checker import eval_formula
+from bpictl.cli import run
 from bpictl.formula import mentions_neighbourhood, mentions_temporal, subformulas
 from bpictl.frames import check_condition, validate_model
 from bpictl.model import Model
 from bpictl.oracle import denote
-from bpictl.satbound import closure_bound, sat_search
+from bpictl.satbound import _belief_options, closure_bound, sat_search
 from bpictl.textio import parse_formula, render_formula
 
 from conftest import random_formula
@@ -81,19 +83,52 @@ def test_negative_intention_valid():
     assert r.verdict == "sat"
 
 
-@pytest.mark.parametrize("states, candidates", [(3, 82), (4, 527)])
-def test_contradiction_candidate_counts(states, candidates):
+@pytest.mark.parametrize("text, states, candidates", [
     # one atom, one agent, no temporal operator: sorted labelings times
     # KD45 relations, summed over the sizes (2x1 + 3x4 + 4x17 + 5x89)
-    r = sat_search(parse_formula("p & !p"), max_states=states)
+    pytest.param("p & !p", 3, 82, id="3-82"),
+    pytest.param("p & !p", 4, 527, id="4-527"),
+    # the same labelings times the frame-valid preference options
+    # (2x2 + 3x14 + 4x115 + 5x1,232)
+    pytest.param("P{a} p & !P{a} p", 3, 506, id="P-3-506"),
+    pytest.param("P{a} p & !P{a} p", 4, 6_666, id="P-4-6666"),
+])
+def test_contradiction_candidate_counts(text, states, candidates):
+    r = sat_search(parse_formula(text), max_states=states)
     assert r.verdict == "unsat-up-to"
     assert r.explored == candidates
 
 
+@pytest.mark.parametrize("n, count", [(1, 2), (2, 14), (3, 115)])
+def test_every_preference_option_is_frame_valid(n, count):
+    # no candidate is validated, so each option must be frame-valid alone;
+    # the frame conditions read no labeling, and T is empty here
+    _, options = _belief_options(n, True)
+    assert len(options) == count
+    states = tuple(f"s{i}" for i in range(n))
+    empty = {"a": (frozenset(),) * n}
+    for rel, fam in options:
+        m = Model(states=states, atoms=("p",), agents=("a",),
+                  labeling=(frozenset(),) * n, belief={"a": rel},
+                  temporal=frozenset(), pref={"a": fam}, intent=empty)
+        assert validate_model(m).passed, (rel, fam)
+
+
+def test_an_invalid_witness_raises(monkeypatch, capsys):
+    # a family holding the empty set fails P4, and P{a} p then holds at a
+    # state where p is false: the first candidate satisfies the formula
+    monkeypatch.setattr(satbound, "_trace_families",
+                        lambda cluster, n: iter([frozenset({frozenset()})]))
+    with pytest.raises(RuntimeError, match="not frame-valid"):
+        sat_search(parse_formula("P{a} p"), max_states=1)
+    assert run(["sat", "P{a} p", "--max-states", "1"]) == 4
+    assert "not frame-valid" in capsys.readouterr().err
+
+
 def test_budget_bounds_a_three_agent_search():
-    # each agent has 2, 16 and 238 choices at 1, 2 and 3 states; the agents'
-    # choices are combined one candidate at a time, so a budget just past
-    # the 16 + 12,288 candidates of sizes 1 and 2 stops early in size 3
+    # each agent has 2, 14 and 115 choices at 1, 2 and 3 states; the agents'
+    # choices are combined one candidate at a time, so a budget past the
+    # 16 + 8,232 candidates of sizes 1 and 2 stops early in size 3
     f = parse_formula("P{a} p & P{b} p & P{c} p & p & !p")
     r = sat_search(f, max_states=3, budget=12_400)
     assert r.verdict == "aborted"

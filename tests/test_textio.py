@@ -88,6 +88,12 @@ def test_reserved_words_not_atoms():
         parse_formula("AX")
 
 
+def test_model_atoms_are_not_reserved_words():
+    # no formula can name an atom called true: parse_formula reads the constant
+    with pytest.raises(ModelError, match="atom name 'true' is a reserved word"):
+        parse_model("states s0\natoms true\nagents a\nlabel s0 = [true]\n")
+
+
 def test_formula_roundtrip_random():
     rng = random.Random(3)
     for _ in range(400):
