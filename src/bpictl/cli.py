@@ -142,60 +142,92 @@ def _int_at_least(low: int):
     return parse
 
 
+_COMMANDS = {  # name -> its line in the top-level help
+    "check": "evaluate a formula on a model",
+    "validate": "check frame conditions of a model",
+    "axioms": "run the axiom soundness suite",
+    "sat": "bounded satisfiability search",
+    "fmt": "reprint a formula or model canonically",
+}
+
+
+def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
+    """Give p the arguments of one subcommand."""
+    if command == "check":
+        p.add_argument("model", help="model file (.bpm)")
+        p.add_argument("formula", help="formula file (.bpi) or inline text")
+        p.add_argument("--valid", action="store_true",
+                       help="ask for validity instead of the satisfying states")
+        p.add_argument("--oracle", action="store_true",
+                       help="use the reference evaluator instead of the labeler")
+    elif command == "validate":
+        p.add_argument("model")
+    elif command == "axioms":
+        p.add_argument("model")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--pool", type=_int_at_least(1), default=50,
+                       help="instantiations per schema")
+    elif command == "sat":
+        p.add_argument("formula")
+        p.add_argument("--max-states", type=_int_at_least(1),
+                       default=satbound.DEFAULT_MAX_STATES)
+        p.add_argument("--budget", type=_int_at_least(0),
+                       default=satbound.DEFAULT_BUDGET)
+    elif command == "fmt":
+        p.add_argument("path")
+        p.add_argument("--kind", choices=["auto", "formula", "model"],
+                       default="auto")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for every command. Each subcommand is run by this
+    module's `_cmd_<command>`, looked up when it runs."""
     parser = argparse.ArgumentParser(
         prog="bpictl",
         description="Model checker and semantics workbench for a "
                     "belief-preference-intention extension of CTL.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="evaluate a formula on a model")
-    p.add_argument("model", help="model file (.bpm)")
-    p.add_argument("formula", help="formula file (.bpi) or inline text")
-    p.add_argument("--valid", action="store_true",
-                   help="ask for validity instead of the satisfying states")
-    p.add_argument("--oracle", action="store_true",
-                   help="use the reference evaluator instead of the labeler")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("validate", help="check frame conditions of a model")
-    p.add_argument("model")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("axioms", help="run the axiom soundness suite")
-    p.add_argument("model")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pool", type=_int_at_least(1), default=50,
-                   help="instantiations per schema")
-    p.set_defaults(func=_cmd_axioms)
-
-    p = sub.add_parser("sat", help="bounded satisfiability search")
-    p.add_argument("formula")
-    p.add_argument("--max-states", type=_int_at_least(1),
-                   default=satbound.DEFAULT_MAX_STATES)
-    p.add_argument("--budget", type=_int_at_least(0),
-                   default=satbound.DEFAULT_BUDGET)
-    p.set_defaults(func=_cmd_sat)
-
-    p = sub.add_parser("fmt", help="reprint a formula or model canonically")
-    p.add_argument("path")
-    p.add_argument("--kind", choices=["auto", "formula", "model"],
-                   default="auto")
-    p.set_defaults(func=_cmd_fmt)
-
+    for command, text in _COMMANDS.items():
+        _add_arguments(sub.add_parser(command, help=text), command)
     return parser
 
 
+# None -> the full parser, a command -> its own; each built on first use
+# and reused by every later call in the process
+_parsers = {}
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """Parse argv with the parser of the command it starts with, building
+    no other. Anything else, and a call that leaves arguments over, goes
+    to the full parser, so help, usage errors and exits are the full
+    parser's, byte for byte."""
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    if command is not None:
+        parser = _parsers.get(command)
+        if parser is None:
+            # the prog a subparser of the full parser gets
+            parser = argparse.ArgumentParser(prog=f"bpictl {command}")
+            _add_arguments(parser, command)
+            _parsers[command] = parser
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            args.command = command
+            return args
+    if None not in _parsers:
+        _parsers[None] = build_parser()
+    return _parsers[None].parse_args(argv)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors
         return EXIT_YES if exc.code == 0 else EXIT_USAGE
     try:
-        return args.func(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

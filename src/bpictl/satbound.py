@@ -110,16 +110,38 @@ def closure_bound(f: Formula):
     return closure, 2 ** len(closure)
 
 
-def _kd45_relations(n: int):
+def _kd45_relations(n: int) -> list:
     """All serial, transitive, euclidean relations on range(n), produced as
     successor functions: every state maps to a nonempty cluster and every
-    member of a cluster maps to that same cluster."""
-    nonempty = [frozenset(q) for q in powerset(n) if q]
-    for assignment in itertools.product(nonempty, repeat=n):
-        if all(all(assignment[y] == k for y in k) for k in set(assignment)):
-            yield frozenset(
-                (x, y) for x in range(n) for y in assignment[x]
-            ), assignment
+    member of a cluster maps to that same cluster. States are assigned in
+    order, each trying the nonempty subsets in bitmask order: a state in a
+    cluster already chosen maps to it, any other to a chosen cluster or to
+    a new one disjoint from the chosen ones and with no earlier member.
+    Every prefix so built extends, so the relations come out in the order
+    of itertools.product over those subsets, the order of a filter over
+    all (2^n - 1)^n assignments, at a cost that follows their number."""
+    nonempty = [q for q in powerset(n) if q]
+    relations = []
+    assignment = []
+
+    def extend():
+        x = len(assignment)
+        if x == n:
+            relations.append((frozenset(
+                (s, y) for s in range(n) for y in assignment[s]
+            ), tuple(assignment)))
+            return
+        chosen = set(assignment)
+        own = [c for c in chosen if x in c]
+        for k in own or nonempty:
+            if own or k in chosen or (
+                    min(k) >= x and all(c.isdisjoint(k) for c in chosen)):
+                assignment.append(k)
+                extend()
+                assignment.pop()
+
+    extend()
+    return relations
 
 
 def _trace_families(cluster: frozenset, n: int):
@@ -221,15 +243,17 @@ def _belief_options(n: int, needs_families: bool):
     preference families constant on each belief cluster."""
     relations = []
     options = []
+    families = {}  # cluster -> its preference families, built on first use
     for rel, assignment in _kd45_relations(n):
         relations.append((rel, tuple(mask_of(k) for k in assignment)))
         if not needs_families:
             options.append((rel, (frozenset(),) * n))
             continue
         clusters = sorted(set(assignment), key=sorted)
-        for choice in itertools.product(
-            *(list(_trace_families(k, n)) for k in clusters)
-        ):
+        for k in clusters:
+            if k not in families:
+                families[k] = list(_trace_families(k, n))
+        for choice in itertools.product(*(families[k] for k in clusters)):
             fam_by_cluster = dict(zip(clusters, choice))
             options.append(
                 (rel, tuple(fam_by_cluster[assignment[x]] for x in range(n)))

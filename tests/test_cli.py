@@ -1,4 +1,10 @@
+import contextlib
+import io
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -271,3 +277,83 @@ def test_unexpected_exception_exits_4(model_file, monkeypatch, capsys):
     assert out == ""
     assert err == "internal error: RuntimeError: boom\n"
 
+
+def test_patched_command_takes_effect_after_the_parser_is_built(
+        model_file, monkeypatch, capsys):
+    assert run(["validate", model_file]) == 0
+    parsers = dict(cli._parsers)
+    monkeypatch.setattr(cli, "_cmd_validate", lambda args: 7)
+    assert run(["validate", model_file]) == 7
+    assert cli._parsers == parsers  # the same parser objects, reused
+
+
+def test_no_option_leaks_into_the_next_call(model_file, capsys):
+    assert run(["check", model_file, "p", "--valid"]) == 1
+    assert capsys.readouterr().out == "not valid\ncounterexample: s1\n"
+    assert run(["check", model_file, "p"]) == 0
+    assert capsys.readouterr().out == "states: s0\n"
+
+
+def test_a_call_builds_only_the_parser_it_needs(model_file, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_parsers", {})
+    assert run(["validate", model_file]) == 0
+    assert list(cli._parsers) == ["validate"]
+    # arguments left over: the full parser reports them
+    assert run(["validate", model_file, "extra"]) == 2
+    assert list(cli._parsers) == ["validate", None]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "m.bpm", "EF p", "--valid"],
+    ["check", "--oracle", "m.bpm", "p"],
+    ["axioms", "m.bpm", "--seed", "3", "--pool=7"],
+    ["sat", "p", "--max-states", "2", "--bud", "5"],
+    ["sat", "--", "-p"],
+    ["fmt", "x.bpi", "--kind", "model"],
+])
+def test_a_commands_parser_parses_as_the_full_one(argv):
+    assert cli._parse(argv) == cli.build_parser().parse_args(argv)
+
+
+def _streams(call):
+    """(result, stdout, stderr) of call, with both streams redirected."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call()
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    [],
+    ["frobnicate"],
+    ["sat", "--help"],
+    ["validate", "-h"],
+    ["sat"],
+    ["sat", "p", "--budget", "-1"],
+    ["sat", "p", "extra"],
+    ["check", "m.bpm", "p", "--bogus"],
+    ["fmt", "x.bpi", "--kind", "neither"],
+])
+def test_reused_parser_writes_what_a_fresh_one_does(model_file, argv, capsys):
+    assert run(["check", model_file, "p"]) == 0
+    capsys.readouterr()
+    code, fresh_out, fresh_err = _streams(
+        lambda: cli.build_parser().parse_args(argv))
+    for _ in range(2):  # the second call reuses what the first one built
+        _, out, err = _streams(lambda: run(argv))
+        assert (out, err) == (fresh_out, fresh_err)
+    assert (out if code == 0 else err).startswith("usage: bpictl")
+    assert capsys.readouterr() == ("", "")
+
+
+def test_import_builds_no_parser():
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", "import bpictl.cli as c; print(c._parsers)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert done.stdout == "{}\n"

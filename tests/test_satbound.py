@@ -99,6 +99,13 @@ def test_contradiction_candidate_counts(text, states, candidates):
     assert r.explored == candidates
 
 
+def test_kd45_relations_match_the_filter():
+    # built from clusters, in the order the reference's filter yields them
+    for n in (1, 2, 3, 4):
+        assert satbound._kd45_relations(n) == list(reference._kd45_relations(n))
+    assert len(satbound._kd45_relations(5)) == 552
+
+
 @pytest.mark.parametrize("n, count", [(1, 2), (2, 14), (3, 115)])
 def test_every_preference_option_is_frame_valid(n, count):
     # no candidate is validated, so each option must be frame-valid alone;
