@@ -5,9 +5,10 @@ boolean cases by set algebra, modalities through Pre primitives, EF/EU by
 backward worklist propagation and EG by decomposition into nontrivial
 strongly connected components.
 
-Each evaluation reads the model through an ``Index`` of adjacency lists,
-built for that evaluation only and each list on first use, so a formula of
-size |f| costs O(|f|·(|S|+|R|)) (Clarke, Emerson & Sistla, TOPLAS 1986).
+Each evaluation reads the adjacency lists of ``Model.view``, each built on
+its first read and kept with the model, so a formula of size |f| costs
+O(|f|·(|S|+|R|)) (Clarke, Emerson & Sistla, TOPLAS 1986), and a model
+checked many times builds them once. It reads none of the view's masks.
 """
 
 from __future__ import annotations
@@ -24,44 +25,8 @@ class SccPartition:
     nontrivial: tuple  # tuple[bool, ...], aligned with components
 
 
-class Index:
-    """Adjacency lists of one model: per state, its predecessors under T or
-    under one agent's belief relation, and its temporal successors. Each
-    list family is built on first use, in one pass over the pairs. It is
-    made per evaluation and not kept on the model: most models (every sat
-    candidate) are checked once."""
-
-    __slots__ = ("model", "_preds", "_succ")
-
-    def __init__(self, m: Model):
-        self.model = m
-        self._preds = {}  # agent, or None for T -> per state: predecessors
-        self._succ = None
-
-    def preds(self, agent: str | None = None) -> list:
-        """Per state: its predecessors under agent's belief relation, or
-        under T when agent is None."""
-        lists = self._preds.get(agent)
-        if lists is None:
-            m = self.model
-            lists = [[] for _ in range(m.n)]
-            for x, t in m.temporal if agent is None else m.belief[agent]:
-                lists[t].append(x)
-            self._preds[agent] = lists
-        return lists
-
-    def successors(self) -> list:
-        """Per state: its temporal successors."""
-        if self._succ is None:
-            self._succ = [[] for _ in range(self.model.n)]
-            for x, t in self.model.temporal:
-                self._succ[x].append(t)
-        return self._succ
-
-
-def pre_modal(kind: str, index: Index, agent: str | None, rho: StateSet) -> StateSet:
+def pre_modal(kind: str, m: Model, agent: str | None, rho: StateSet) -> StateSet:
     """Pre primitive for one modal operator applied to the state set rho."""
-    m = index.model
     if kind in ("B", "P", "I"):
         if agent is None:
             raise ValueError(f"pre_modal({kind!r}) needs an agent")
@@ -69,14 +34,14 @@ def pre_modal(kind: str, index: Index, agent: str | None, rho: StateSet) -> Stat
             raise UndeclaredSymbolError("agent", agent)
     if kind in ("B", "AX"):
         # a state fails when some successor lies outside rho
-        preds = index.preds(agent if kind == "B" else None)
+        preds = m.view.preds(agent if kind == "B" else None)
         failing = set()
         for t in range(m.n):
             if t not in rho:
                 failing.update(preds[t])
         return m.universe - failing
     if kind == "EX":
-        preds = index.preds()
+        preds = m.view.preds()
         found = set()
         for t in rho:
             found.update(preds[t])
@@ -159,11 +124,10 @@ def eval_formula(m: Model, f: Formula) -> StateSet:
     """The set of states of m satisfying f, by the labeling algorithm."""
     check_symbols(m, f)
     core = rewrite_derived(f)
-    index = Index(m)
     labels: dict[Formula, frozenset] = {}
     for sub in descendants(core):
-        labels[sub] = _eval_node(index, sub, labels)
-    return _eval_node(index, core, labels)
+        labels[sub] = _eval_node(m, sub, labels)
+    return _eval_node(m, core, labels)
 
 
 def _drain_backward(seed, preds, allowed=None) -> frozenset:
@@ -184,8 +148,7 @@ def _drain_backward(seed, preds, allowed=None) -> frozenset:
     return frozenset(labeled)
 
 
-def _eval_node(index: Index, f: Formula, labels) -> frozenset:
-    m = index.model
+def _eval_node(m: Model, f: Formula, labels) -> frozenset:
     op = f.op
     if op == "atom":
         return m.atom_extension(f.name)
@@ -198,19 +161,16 @@ def _eval_node(index: Index, f: Formula, labels) -> frozenset:
     if op == "or":
         return labels[f.left] | labels[f.right]
     if op in ("B", "P", "I", "AX", "EX"):
-        return pre_modal(op, index, f.agent, labels[f.left])
+        return pre_modal(op, m, f.agent, labels[f.left])
     if op == "EF":
-        return _drain_backward(labels[f.left], index.preds())
+        return _drain_backward(labels[f.left], m.view.preds())
     if op == "EG":
         restricted = labels[f.left]
-        part = tarjan_scc(restricted, index.successors())
-        seed = set()
-        for comp, flag in zip(part.components, part.nontrivial):
-            if flag:
-                seed |= comp
-        return _drain_backward(seed, index.preds(), allowed=restricted)
+        part = tarjan_scc(restricted, m.view.successors())
+        cyclic = (c for c, flag in zip(part.components, part.nontrivial) if flag)
+        return _drain_backward(set().union(*cyclic), m.view.preds(), allowed=restricted)
     if op == "EU":
-        return _drain_backward(labels[f.right], index.preds(),
+        return _drain_backward(labels[f.right], m.view.preds(),
                                allowed=labels[f.left] | labels[f.right])
     raise ValueError(f"non-core operator reached the checker: {op!r}")
 

@@ -22,6 +22,14 @@ EXIT_ABORTED = 3
 EXIT_INTERNAL = 4
 
 
+def _read_text(path) -> str:
+    """An input file's text; one that is not UTF-8 is unreadable input."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def _read_formula(arg: str):
     """Treat the argument as a file when such a file exists, otherwise as
     inline formula text. An argument the file system cannot even look up
@@ -32,12 +40,12 @@ def _read_formula(arg: str):
     except OSError:
         is_file = False
     if is_file:
-        return textio.parse_formula(path.read_text())
+        return textio.parse_formula(_read_text(path))
     return textio.parse_formula(arg)
 
 
 def _read_model(path: str):
-    return textio.parse_model(Path(path).read_text())
+    return textio.parse_model(_read_text(path))
 
 
 def _cmd_check(args) -> int:
@@ -111,7 +119,7 @@ def _cmd_sat(args) -> int:
 
 
 def _cmd_fmt(args) -> int:
-    text = Path(args.path).read_text()
+    text = _read_text(args.path)
     if args.kind == "model" or (args.kind == "auto" and _looks_like_model(text)):
         print(textio.render_model(textio.parse_model(text)), end="")
     else:

@@ -1,8 +1,10 @@
 """Frame-condition validation.
 
 Each catalogued side condition on the belief relation, the preference and
-intention neighbourhoods and the temporal relation is checked on the model's
-bitmask view ``Model.masks`` (bit i is state i, a state set is an int). Set
+intention neighbourhoods and the temporal relation is checked on the mask
+tables of ``Model.view`` (bit i is state i, a state set is an int), the view
+the checker reads its adjacency lists from. Each table is built on its
+first read, so validation builds none of those lists. Set
 quantifiers range over the full powerset of states (the admissible set
 family is the powerset for finite models). Each condition's finder visits
 only bindings that can falsify it and argues in a comment why every binding
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .model import Masks, Model, bits, mask_of
+from .model import Model, bits, mask_of
 
 # Conditions quantifying over one arbitrary state set range over 2^n sets;
 # over two, 4^n pairs. Caps keep the literal semantics while bounding runtime.
@@ -110,49 +112,50 @@ def _per_state(keys, solve):
 
 
 # --- conditions --------------------------------------------------------------
-# Each finder, find(mk, agent), yields every violating binding of its
-# condition: a tuple of the witness values in witness order. mk is the
-# model's mask view; fam[x] is the agent's preference or intention family
-# at x and S the belief successors of x.
+# Each finder, find(view, agent), yields every violating binding of its
+# condition: a tuple of the witness values in witness order. view is the
+# model's View; fam[x] is the agent's preference or intention family at x
+# and S the belief successors of x. BX1 and BX2 take only the masks they
+# read, so clashes_with_temporal needs no model.
 
-def _find_B3(mk, a):
+def _find_B3(view, a):
     # Only a successor z of a successor y of x can break transitivity.
-    succ = mk.belief[a]
-    for x in range(mk.n):
+    succ = view.belief[a]
+    for x in range(view.n):
         for y in bits(succ[x]):
             for z in bits(succ[y] & ~succ[x]):
                 yield x, y, z
 
 
-def _find_B4(mk, a):
+def _find_B4(view, a):
     # The hypothesis needs y and z in S.
-    succ = mk.belief[a]
-    for x in range(mk.n):
+    succ = view.belief[a]
+    for x in range(view.n):
         for y in bits(succ[x]):
             for z in bits(succ[x] & ~succ[y]):
                 yield x, y, z
 
 
-def _find_B5(mk, a):
-    for x, s in enumerate(mk.belief[a]):
+def _find_B5(view, a):
+    for x, s in enumerate(view.belief[a]):
         if not s:
             yield (x,)
 
 
-def _find_P1(mk, a):
+def _find_P1(view, a):
     # Q1 & Q2 must be in fam[x] whenever Q1 and Q2 are. The verdict depends
     # on fam[x] alone.
     return _per_state(
-        mk.pref[a].sets,
+        view.pref[a].sets,
         lambda fam: [(q1, q2) for q1 in fam for q2 in fam if q1 & q2 not in fam],
     )
 
 
-def _find_P2(mk, a):
+def _find_P2(view, a):
     # Q2 must be in fam[x] whenever Q1 and R = ~Q1 | Q2 are. Such an R holds
     # ~Q1 and fixes Q2 & Q1 = R & Q1, so the Q2 it admits are exactly
     # (R & Q1) | T for T a subset of ~Q1, and each Q2 has one R.
-    full = mk.full
+    full = (1 << view.n) - 1
 
     def solve(fam):
         found = []
@@ -168,39 +171,39 @@ def _find_P2(mk, a):
                 found += [(q1, low | t) for t in spread if low | t not in fam]
         return found
 
-    return _per_state(mk.pref[a].sets, solve)
+    return _per_state(view.pref[a].sets, solve)
 
 
-def _find_P3(mk, a):
+def _find_P3(view, a):
     # Q must be in fam[x] whenever image(Q), the states whose family holds
     # Q, is. A set in no family has the empty image, so it meets that
     # hypothesis only when fam[x] holds the empty set.
-    image = mk.pref[a].image
-    for x, fam in enumerate(mk.pref[a].sets):
-        for q in range(mk.full + 1) if 0 in fam else image:
+    image = view.pref[a].image
+    for x, fam in enumerate(view.pref[a].sets):
+        for q in range(1 << view.n) if 0 in fam else image:
             if image.get(q, 0) in fam and q not in fam:
                 yield x, q
 
 
-def _find_P4(mk, a):
+def _find_P4(view, a):
     # For Q1 in fam[x], every Q2 in fam[x] must hold a state whose family
     # holds Q1; a Q2 outside fam[x] meets the condition. The verdict depends
     # on fam[x] and the agent's images alone.
-    image = mk.pref[a].image
+    image = view.pref[a].image
     return _per_state(
-        mk.pref[a].sets,
+        view.pref[a].sets,
         lambda fam: [(q1, q2) for q1 in fam for q2 in fam if not q2 & image[q1]],
     )
 
 
 def _find_agreement(kind):
     """BP1 or BI1 on the preference or intention families."""
-    def find(mk, a):
+    def find(view, a):
         # Q2 must be in fam[x] whenever Q1 is and Q2 agrees with Q1 on S
         # ((Q1 ^ Q2) & S is empty): Q2 = (Q1 & S) | T for T a subset of ~S.
         # The verdict depends on fam[x] and S alone, and the Q2 that fail
         # depend on Q1 only through Q1 & S.
-        full = mk.full
+        full = (1 << view.n) - 1
 
         def solve(key):
             fam, s = key
@@ -214,15 +217,15 @@ def _find_agreement(kind):
                 found += [(q1, q2) for q2 in missing[low]]
             return found
 
-        return _per_state(zip(getattr(mk, kind)[a].sets, mk.belief[a]), solve)
+        return _per_state(zip(getattr(view, kind)[a].sets, view.belief[a]), solve)
     return find
 
 
 def _find_persist(kind):
     """BP2 or BI2: a member of fam[x] is a member of fam[y] for y in S."""
-    def find(mk, a):
-        sets = getattr(mk, kind)[a].sets
-        for x, s in enumerate(mk.belief[a]):
+    def find(view, a):
+        sets = getattr(view, kind)[a].sets
+        for x, s in enumerate(view.belief[a]):
             for y in bits(s):
                 for q in sets[x] - sets[y]:
                     yield x, q, y
@@ -231,10 +234,10 @@ def _find_persist(kind):
 
 def _find_pull_exists(kind):
     """BP3 or BI3: a member of some fam[y], y in S, is a member of fam[x]."""
-    def find(mk, a):
+    def find(view, a):
         # The hypothesis needs Q in some family, with an image meeting S.
-        table = getattr(mk, kind)[a]
-        for x, s in enumerate(mk.belief[a]):
+        table = getattr(view, kind)[a]
+        for x, s in enumerate(view.belief[a]):
             fam = table.sets[x]
             for q, holders in table.image.items():
                 if holders & s and q not in fam:
@@ -244,14 +247,14 @@ def _find_pull_exists(kind):
 
 def _find_pull_forall(kind):
     """BP4 or BI4: a member of every fam[y], y in S, is a member of fam[x]."""
-    def find(mk, a):
+    def find(view, a):
         # The hypothesis needs Q in every successor's family, so Q is a
         # member of some family unless S is empty, when every Q meets it.
-        table = getattr(mk, kind)[a]
+        table = getattr(view, kind)[a]
         image = table.image
-        for x, s in enumerate(mk.belief[a]):
+        for x, s in enumerate(view.belief[a]):
             fam = table.sets[x]
-            for q in image if s else range(mk.full + 1):
+            for q in image if s else range(1 << view.n):
                 if s & ~image.get(q, 0) == 0 and q not in fam:
                     yield x, q
     return find
@@ -259,82 +262,75 @@ def _find_pull_forall(kind):
 
 def _find_push_exists(kind):
     """BP5 or BI5: a member of fam[x] is a member of some fam[y], y in S."""
-    def find(mk, a):
-        table = getattr(mk, kind)[a]
-        for x, s in enumerate(mk.belief[a]):
+    def find(view, a):
+        table = getattr(view, kind)[a]
+        for x, s in enumerate(view.belief[a]):
             for q in table.sets[x]:
                 if not s & table.image[q]:
                     yield x, q
     return find
 
 
-def _find_BPIEF1a(mk, a):
+def _find_BPIEF1a(view, a):
     # An intended set is preferred.
-    for x, fam in enumerate(mk.intent[a].sets):
-        for q in fam - mk.pref[a].sets[x]:
+    for x, fam in enumerate(view.intent[a].sets):
+        for q in fam - view.pref[a].sets[x]:
             yield x, q
 
 
-def _find_BPIEF1b(mk, a):
+def _find_BPIEF1b(view, a):
     # No intended set meets S.
-    for x, fam in enumerate(mk.intent[a].sets):
-        intended = 0
-        for q in fam:
-            intended |= q
-        if intended & mk.belief[a][x]:
+    for x, fam in enumerate(view.intent[a].sets):
+        if any(q & view.belief[a][x] for q in fam):
             yield (x,)
 
 
-def _find_BPIEF1c(mk, a):
+def _find_BPIEF1c(view, a):
     # For y in S and Q in intent[x], some state of Q is reachable from y.
-    for x, s in enumerate(mk.belief[a]):
-        fam = mk.intent[a].sets[x]
+    for x, s in enumerate(view.belief[a]):
+        fam = view.intent[a].sets[x]
         for y in bits(s):
             for q in fam:
-                if not mk.reach[y] & q:
+                if not view.reach[y] & q:
                     yield x, y, q
 
 
-def _find_BX1(mk, a):
+def _find_BX1(n, succ, temporal):
     # A belief, temporal, belief path from x to y implies a belief,
     # temporal one.
-    succ = mk.belief[a]
-    for x in range(mk.n):
+    for x in range(n):
         bx = bxb = 0
         for y in bits(succ[x]):
-            bx |= mk.temporal[y]
+            bx |= temporal[y]
         for z in bits(bx):
             bxb |= succ[z]
         for y in bits(bxb & ~bx):
             yield x, y
 
 
-def _bx2_fails(mk, a, s, q):
-    """Whether BX2 fails for the set q at a state with belief successors s.
-    BX2: when every state of s has a temporal successor in q, every state of
-    s has a temporal successor all of whose belief successors lie in q."""
-    temporal = mk.temporal
-    if not all(temporal[y] & q for y in bits(s)):
-        return False
-    inside = mask_of(v for v, t in enumerate(mk.belief[a]) if not t & ~q)
-    return not all(temporal[u] & inside for u in bits(s))
+def _find_BX2(n, succ, temporal):
+    # When every state of S has a temporal successor in Q, every state of S
+    # has a temporal successor all of whose belief successors lie in Q. x
+    # enters only through S.
+    def fails(s, q):
+        if not all(temporal[y] & q for y in bits(s)):
+            return False
+        inside = mask_of(v for v, t in enumerate(succ) if not t & ~q)
+        return not all(temporal[u] & inside for u in bits(s))
+
+    return _per_state(succ, lambda s: [(q,) for q in range(1 << n) if fails(s, q)])
 
 
-def _find_BX2(mk, a):
-    # x enters only through S.
-    sets = range(mk.full + 1)
-    return _per_state(
-        mk.belief[a], lambda s: [(q,) for q in sets if _bx2_fails(mk, a, s, q)]
-    )
+def _on_view(find):
+    """A BX1 or BX2 finder reading one agent's masks from the view."""
+    return lambda view, a: find(view.n, view.belief[a], view.temporal)
 
 
 def clashes_with_temporal(n: int, belief: tuple, temporal: tuple) -> bool:
     """Whether BX1 or BX2 fails for one agent's belief successor masks under
     the temporal successor masks. They read nothing else of a model, so
     every model holding the pair fails validation."""
-    mk = Masks(n=n, full=(1 << n) - 1, belief={None: belief},
-               temporal=temporal, pref={}, intent={})
-    return any(_find_BX1(mk, None)) or any(_find_BX2(mk, None))
+    return any(_find_BX1(n, belief, temporal)) or any(_find_BX2(n, belief, temporal))
 
 
 class _Condition(NamedTuple):
@@ -372,8 +368,10 @@ _CONDITIONS = {
     "BPIEF1b": _Condition("x", _find_BPIEF1b, "intended states overlap belief successors"),
     "BPIEF1c": _Condition("x y Q", _find_BPIEF1c,
                           "intended set not temporally reachable from a belief successor"),
-    "BX1": _Condition("x y", _find_BX1, "belief-next composition escapes belief-next"),
-    "BX2": _Condition("x Q", _find_BX2, "believed existential next not introspective"),
+    "BX1": _Condition("x y", _on_view(_find_BX1),
+                      "belief-next composition escapes belief-next"),
+    "BX2": _Condition("x Q", _on_view(_find_BX2),
+                      "believed existential next not introspective"),
 }
 CONDITION_NAMES = tuple(_CONDITIONS)
 
@@ -389,10 +387,10 @@ def check_condition(name: str, m: Model, max_violations: int | None = None) -> l
     cond = _CONDITIONS[name]
     variables = cond.variables.split()
     _cap(name, variables, m.n)
-    mk = m.masks
+    view = m.view
     violations = []
     for agent in m.agents:
-        for binding in sorted(cond.find(mk, agent)):
+        for binding in sorted(cond.find(view, agent)):
             witnesses = {var: _names(m, var, value)
                          for var, value in zip(variables, binding)}
             violations.append(
@@ -410,7 +408,7 @@ def recheck(m: Model, v: Violation) -> bool:
     Returns True when the failure reproduces: the witnesses form a binding
     that falsifies the condition for the agent."""
     binding = tuple(_indices(m, val) for val in v.witnesses.values())
-    return binding in _CONDITIONS[v.condition].find(m.masks, v.agent)
+    return binding in _CONDITIONS[v.condition].find(m.view, v.agent)
 
 
 def validate_model(m: Model) -> ValidationReport:

@@ -2,7 +2,10 @@
 
 States are stored as name strings in declared order; all relations,
 neighbourhood families and state sets use integer indices into that order.
-``Model.masks`` is the same model as int bitmasks, for the frame validator.
+``Model.view`` is the one compiled form of a model: adjacency lists for the
+checker, int bitmasks for the frame validator. Each table is built on its
+first read, so each reader builds only its own: a 10^5-state model's
+temporal masks alone would be 10^5 ints of up to 12.5 KB each.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ class Model:
     pref: dict                                 # agent -> tuple per state of frozenset[StateSet]
     intent: dict                               # agent -> tuple per state of frozenset[StateSet]
     _index: dict = field(init=False, repr=False, compare=False)
+    _view: View | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # sat_search builds a Model per candidate: keep these checks cheap
@@ -108,20 +112,12 @@ class Model:
     def state_names(self, ss: Iterable[int]) -> tuple[str, ...]:
         return tuple(self.states[i] for i in sorted(ss))
 
-    @cached_property
-    def masks(self) -> Masks:
-        """The model compiled to int bitmasks (bit i is state i), built on
-        first use. Models are not to be changed after this view is built."""
-        n = self.n
-        cache = {}  # family -> its member masks; states often share families
-        return Masks(
-            n=n,
-            full=(1 << n) - 1,
-            belief={a: _successor_masks(rel, n) for a, rel in self.belief.items()},
-            temporal=_successor_masks(self.temporal, n),
-            pref={a: _neighbourhoods(t, cache) for a, t in self.pref.items()},
-            intent={a: _neighbourhoods(t, cache) for a, t in self.intent.items()},
-        )
+    @property
+    def view(self) -> View:
+        """The compiled view, built on first use. Do not change the model after."""
+        if self._view is None:  # not a cached_property: sat builds models by the thousand
+            self._view = View(self)
+        return self._view
 
 
 class Neighbourhoods(NamedTuple):
@@ -131,16 +127,35 @@ class Neighbourhoods(NamedTuple):
     image: dict   # member mask -> mask of the states whose family holds it
 
 
-@dataclass
-class Masks:
-    """What the frame validator reads of a model, as int bitmasks."""
+class View:
+    """A model's tables for the checker and the frame validator (bit i of a
+    mask is state i), each built on its first read. It holds the model's
+    relations, not the model, so no reference cycle delays freeing either."""
 
-    n: int
-    full: int            # every state
-    belief: dict         # agent -> per state: belief successors
-    temporal: tuple      # per state: temporal successors
-    pref: dict           # agent -> Neighbourhoods
-    intent: dict         # agent -> Neighbourhoods
+    def __init__(self, m: Model):
+        self.n = m.n
+        self._belief, self._temporal, self._pref, self._intent = (
+            m.belief, m.temporal, m.pref, m.intent)
+        self._preds = {}  # agent, or None for T -> per state: predecessors
+        self._succ = None  # per state: temporal successors
+
+    @cached_property
+    def belief(self) -> dict:  # agent -> per state: belief successor mask
+        return {a: _successor_masks(rel, self.n) for a, rel in self._belief.items()}
+
+    @cached_property
+    def temporal(self) -> tuple:  # per state: temporal successor mask
+        return _successor_masks(self._temporal, self.n)
+
+    @cached_property
+    def pref(self) -> dict:  # agent -> Neighbourhoods
+        cache = {}  # family -> its member masks; states often share families
+        return {a: _neighbourhoods(t, cache) for a, t in self._pref.items()}
+
+    @cached_property
+    def intent(self) -> dict:  # agent -> Neighbourhoods
+        cache = {}
+        return {a: _neighbourhoods(t, cache) for a, t in self._intent.items()}
 
     @cached_property
     def reach(self) -> tuple:
@@ -153,6 +168,24 @@ class Masks:
                 if reach[i] >> k & 1:
                     reach[i] |= reach[k]
         return tuple(reach)
+
+    def preds(self, agent: str | None = None) -> list:
+        """Per state: its predecessors under agent's belief relation, or
+        under T when agent is None. Each is built on its first read."""
+        lists = self._preds.get(agent)
+        if lists is None:
+            lists = self._preds[agent] = [[] for _ in range(self.n)]
+            for x, t in self._temporal if agent is None else self._belief[agent]:
+                lists[t].append(x)
+        return lists
+
+    def successors(self) -> list:
+        """Per state: its temporal successors."""
+        if self._succ is None:
+            self._succ = [[] for _ in range(self.n)]
+            for x, t in self._temporal:
+                self._succ[x].append(t)
+        return self._succ
 
 
 def mask_of(states: Iterable[int]) -> int:

@@ -4,7 +4,6 @@ import pytest
 
 from bpictl import formula as F
 from bpictl.checker import (
-    Index,
     eval_formula,
     is_satisfiable_in,
     is_valid,
@@ -29,24 +28,24 @@ def m():
 
 
 def test_pre_modal_belief(m):
-    assert pre_modal("B", Index(m), "a", frozenset({0})) == frozenset()
-    assert pre_modal("B", Index(m), "a", m.universe) == m.universe
+    assert pre_modal("B", m, "a", frozenset({0})) == frozenset()
+    assert pre_modal("B", m, "a", m.universe) == m.universe
 
 
 def test_pre_modal_neighbourhood(m):
-    assert pre_modal("P", Index(m), "a", m.universe) == m.universe
-    assert pre_modal("P", Index(m), "a", frozenset({0})) == frozenset()
-    assert pre_modal("I", Index(m), "a", m.universe) == frozenset()
+    assert pre_modal("P", m, "a", m.universe) == m.universe
+    assert pre_modal("P", m, "a", frozenset({0})) == frozenset()
+    assert pre_modal("I", m, "a", m.universe) == frozenset()
 
 
 def test_pre_modal_temporal(m):
-    assert pre_modal("EX", Index(m), None, frozenset({0})) == {0}
-    assert pre_modal("AX", Index(m), None, frozenset({0})) == {0}
+    assert pre_modal("EX", m, None, frozenset({0})) == {0}
+    assert pre_modal("AX", m, None, frozenset({0})) == {0}
 
 
 def test_pre_modal_rejects_unknown_agent(m):
     with pytest.raises(UndeclaredSymbolError):
-        pre_modal("B", Index(m), "zzz", m.universe)
+        pre_modal("B", m, "zzz", m.universe)
 
 
 def test_tarjan_components():

@@ -193,6 +193,23 @@ def test_missing_file_exit(capsys):
     assert run(["check", "/nonexistent.bpm", "p"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "BAD", "p"],
+    ["check", "MODEL", "BAD"],
+    ["validate", "BAD"],
+    ["axioms", "BAD"],
+    ["sat", "BAD"],
+    ["fmt", "BAD"],
+])
+def test_non_utf8_file_is_unreadable_input(model_file, tmp_path, argv, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"states s0 \xff\n")
+    argv = [{"BAD": str(bad), "MODEL": model_file}.get(a, a) for a in argv]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not UTF-8 text: ") and err.count("\n") == 1
+
+
 def test_usage_error_exit(capsys):
     assert run(["frobnicate"]) == 2
 

@@ -201,7 +201,7 @@ def test_clashes_with_temporal_is_bx1_or_bx2():
         )
         m = make_model(states=states, belief={"a": belief}, temporal=temporal)
         expected = bool(check_condition("BX1", m) or check_condition("BX2", m))
-        assert clashes_with_temporal(n, m.masks.belief["a"], m.masks.temporal) == expected
+        assert clashes_with_temporal(n, m.view.belief["a"], m.view.temporal) == expected
         clashes += expected
     assert 40 < clashes < 360
 
