@@ -3,7 +3,8 @@
 Processes core subformulas innermost-first, growing a per-state label set:
 boolean cases by set algebra, modalities through Pre primitives, EF/EU by
 backward worklist propagation and EG by decomposition into nontrivial
-strongly connected components.
+strongly connected components (Tarjan, SIAM J. Comput. 1972, with its
+per-node state in n-length lists).
 
 Each evaluation reads the adjacency lists of ``Model.view``, each built on
 its first read and kept with the model, so a formula of size |f| costs
@@ -55,19 +56,25 @@ def pre_modal(kind: str, m: Model, agent: str | None, rho: StateSet) -> StateSet
 
 def tarjan_scc(sub: StateSet, succ: list) -> SccPartition:
     """Maximal SCCs of the subgraph that sub induces in the graph with
-    successor lists succ; nontrivial components have more than one node or
-    a single node with a self-loop."""
-    nodes = sorted(sub)
-    inside = {s: [t for t in succ[s] if t in sub] for s in nodes}
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
+    successor lists succ (nodes 0 .. len(succ) - 1); nontrivial components
+    have more than one node or a single node with a self-loop. Components
+    come out in the order Tarjan's algorithm completes them, roots tried in
+    ascending order. Per-node state lives in n-length lists, and successors
+    outside sub are skipped where they are read."""
+    n = len(succ)
+    inside = bytearray(n)
+    for s in sub:
+        inside[s] = 1
+    index = [-1] * n   # discovery order, -1 until visited
+    low = [0] * n
+    on_stack = bytearray(n)
     stack: list[int] = []
     counter = 0
     components: list[frozenset] = []
+    flags: list[bool] = []
 
-    for root in nodes:
-        if root in index:
+    for root in sorted(sub):
+        if index[root] >= 0:
             continue
         # Iterative Tarjan: (node, iterator position) work stack.
         work = [(root, 0)]
@@ -77,36 +84,35 @@ def tarjan_scc(sub: StateSet, succ: list) -> SccPartition:
                 index[node] = low[node] = counter
                 counter += 1
                 stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            for k in range(child_pos, len(inside[node])):
-                child = inside[node][k]
-                if child not in index:
+                on_stack[node] = 1
+            children = succ[node]
+            for k in range(child_pos, len(children)):
+                child = children[k]
+                if not inside[child]:
+                    continue
+                if index[child] < 0:
                     work.append((node, k + 1))
                     work.append((child, 0))
-                    advanced = True
                     break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                comp = set()
-                while True:
-                    top = stack.pop()
-                    on_stack.discard(top)
-                    comp.add(top)
-                    if top == node:
-                        break
-                components.append(frozenset(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+                if on_stack[child] and index[child] < low[node]:
+                    low[node] = index[child]
+            else:
+                if low[node] == index[node]:
+                    top = len(stack) - 1
+                    while stack[top] != node:
+                        top -= 1
+                    comp = stack[top:]
+                    del stack[top:]
+                    for v in comp:
+                        on_stack[v] = 0
+                    components.append(frozenset(comp))
+                    flags.append(len(comp) > 1 or node in children)
+                if work:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
 
-    flags = tuple(
-        len(c) > 1 or next(iter(c)) in inside[next(iter(c))] for c in components
-    )
-    return SccPartition(components=tuple(components), nontrivial=flags)
+    return SccPartition(components=tuple(components), nontrivial=tuple(flags))
 
 
 def check_symbols(m: Model, f: Formula) -> None:

@@ -23,9 +23,10 @@ EXIT_INTERNAL = 4
 
 
 def _read_text(path) -> str:
-    """An input file's text; one that is not UTF-8 is unreadable input."""
+    """An input file's text, without the one byte-order mark it may start
+    with; one that is not UTF-8 is unreadable input."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise OSError(f"{path}: not UTF-8 text: {exc}") from None
 
@@ -131,7 +132,7 @@ def _looks_like_model(text: str) -> bool:
     """Whether the first non-comment line is a model's 'states' line: the
     word 'states' and one or more identifiers. A formula can start with an
     atom named 'states', but never continues it with a bare identifier."""
-    for line in text.splitlines():
+    for line in textio.split_lines(text):
         words = line.split("#", 1)[0].split()
         if words:
             return words[0] == "states" and len(words) > 1 and all(

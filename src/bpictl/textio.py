@@ -1,7 +1,8 @@
 """Concrete syntax: parsing and canonical rendering of formulas and models.
 
 Formula files use extension ``.bpi``, model files ``.bpm``. Both are UTF-8
-text; ``#`` starts a line comment. Rendering is canonical: re-rendering a
+text; ``#`` starts a line comment. A model file's lines end at CR LF, LF
+or CR only (``split_lines``). Rendering is canonical: re-rendering a
 rendered file is byte-identical.
 """
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from . import formula as F
 from .formula import Formula
-from .model import Model, make_model
+from .model import Model, make_model  # noqa: F401 (make_model is re-exported)
 
 
 class ParseError(ValueError):
@@ -266,6 +267,18 @@ def render_formula(f: Formula) -> str:
 
 # Model files. Line-oriented; see parse_model for the layout.
 
+def split_lines(text: str) -> list[str]:
+    """The lines of a model file. Only CR LF, LF and CR end a line, the line
+    ends universal newlines reads, so a form feed or U+2028 in a comment
+    stays in the comment. A final line end starts no line."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def parse_model(text: str) -> Model:
     """Parse the .bpm model format.
 
@@ -279,12 +292,16 @@ def parse_model(text: str) -> Model:
         RB <agent> <state> -> <state>
         RP <agent> <state> = { s... } { s... } ...
         RI <agent> <state> = { s... } ...
+
+    One pass from text to the model's index-level tables: each state and
+    agent name is resolved to its index where it is read, and each atom
+    checked against the declaration. A canonical ``label``, ``RX`` or
+    ``RB`` line (one that ``str.split`` cuts into exactly its words, with
+    declared names) is read from that split; every other line, and so
+    every error, goes to the tokenizer, which splits a canonical line into
+    the same words.
     """
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0]
-        if stripped.strip():
-            lines.append((lineno, stripped))
+    lines = split_lines(text)
 
     def err(lineno, col, message, expected=None):
         raise ParseError(lineno, col, message, expected)
@@ -293,58 +310,72 @@ def parse_model(text: str) -> Model:
     word_re = re.compile(r"->|[={}\[\]]|[A-Za-z_][A-Za-z0-9_]*|\S")
     ident_re = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-    def words(lineno, line):
+    def words(line):
         return [(m.group(), m.start() + 1) for m in word_re.finditer(line)]
 
-    cursor = 0
+    cursor = 0  # lines[cursor] is the next line to read
 
     def take_header(keyword, minimum):
         nonlocal cursor
-        if cursor >= len(lines):
-            err(len(text.splitlines()) + 1, 1, f"missing {keyword!r} line")
-        lineno, line = lines[cursor]
-        toks = words(lineno, line)
+        while True:
+            if cursor >= len(lines):
+                err(len(lines) + 1, 1, f"missing {keyword!r} line")
+            line = lines[cursor].split("#", 1)[0]
+            cursor += 1
+            parts = line.split()
+            if parts:
+                break
+        # the fast path: the keyword, then distinct ASCII identifiers
+        names = parts[1:]
+        if parts[0] == keyword and len(names) >= minimum and "".join(names).isascii() \
+                and all(map(str.isidentifier, names)) and len(set(names)) == len(names):
+            return tuple(names)
+        toks = words(line)
         if toks[0][0] != keyword:
-            err(lineno, toks[0][1], f"found {toks[0][0]!r}", expected=f"{keyword!r} line")
+            err(cursor, toks[0][1], f"found {toks[0][0]!r}", expected=f"{keyword!r} line")
         names, seen = [], set()
         for (w, col) in toks[1:]:
             if not ident_re.fullmatch(w):
-                err(lineno, col, f"bad identifier {w!r}")
+                err(cursor, col, f"bad identifier {w!r}")
             if w in seen:
-                err(lineno, col, f"duplicate identifier {w!r}")
+                err(cursor, col, f"duplicate identifier {w!r}")
             seen.add(w)
             names.append(w)
         if len(names) < minimum:
-            err(lineno, toks[0][1], f"{keyword!r} line needs at least {minimum} name(s)")
-        cursor += 1
-        return names
+            err(cursor, toks[0][1], f"{keyword!r} line needs at least {minimum} name(s)")
+        return tuple(names)
 
     states = take_header("states", 1)
     atoms = take_header("atoms", 0)
     agents = take_header("agents", 1)
-    state_set = set(states)
-    atom_set = set(atoms)
-    agent_set = set(agents)
+    n = len(states)
+    pools = {
+        "state": {s: i for i, s in enumerate(states)},
+        "atom": {p: p for p in atoms},  # a label row holds atom names
+        "agent": {a: i for i, a in enumerate(agents)},
+    }
+    state_index = pools["state"].get
+    agent_index = pools["agent"].get
+    atom_set = frozenset(atoms)
 
-    labels: dict[str, list[str]] = {}
-    rx: set[tuple[str, str]] = set()
-    rb: dict[str, set] = {a: set() for a in agents}
-    rp: dict[str, dict[str, set]] = {a: {} for a in agents}
-    ri: dict[str, dict[str, set]] = {a: {} for a in agents}
+    rows: list = [None] * n             # per state: its atoms, once labeled
+    rx: set[tuple[int, int]] = set()
+    rb = [set() for _ in agents]        # per agent: its belief pairs
+    rp = [{} for _ in agents]           # per agent: state -> member sets
+    ri = [{} for _ in agents]
 
-    def check(kind, name, lineno, col):
-        pool = {"state": state_set, "atom": atom_set, "agent": agent_set}[kind]
-        if name not in pool:
-            err(lineno, col, f"undeclared {kind} {name!r}")
-        return name
+    def resolve(kind, tok, lineno):
+        index = pools[kind].get(tok[0])
+        if index is None:
+            err(lineno, tok[1], f"undeclared {kind} {tok[0]!r}")
+        return index
 
     def parse_arrow(toks, lineno, start):
         if len(toks) != start + 3 or toks[start + 1][0] != "->":
             col = toks[min(start + 1, len(toks) - 1)][1]
             err(lineno, col, "malformed relation line", expected="'<state> -> <state>'")
-        src = check("state", toks[start][0], lineno, toks[start][1])
-        dst = check("state", toks[start + 2][0], lineno, toks[start + 2][1])
-        return src, dst
+        return (resolve("state", toks[start], lineno),
+                resolve("state", toks[start + 2], lineno))
 
     def parse_sets(toks, lineno, start):
         sets, i = [], start
@@ -354,7 +385,7 @@ def parse_model(text: str) -> Model:
             i += 1
             members = set()
             while i < len(toks) and toks[i][0] != "}":
-                members.add(check("state", toks[i][0], lineno, toks[i][1]))
+                members.add(resolve("state", toks[i], lineno))
                 i += 1
             if i >= len(toks):
                 err(lineno, toks[-1][1], "unterminated set literal", expected="'}'")
@@ -362,65 +393,86 @@ def parse_model(text: str) -> Model:
             sets.append(frozenset(members))
         return sets
 
-    while cursor < len(lines):
-        lineno, line = lines[cursor]
-        cursor += 1
-        # Fast path for the bulk of a model: a relation line whose words are
-        # exactly 'RX s -> t' or 'RB a s -> t' with declared names. The
-        # tokenizer splits such a line into the same words, so anything else
-        # (and every error) takes the general path below.
+    for lineno, line in enumerate(lines[cursor:], start=cursor + 1):
+        if "#" in line:
+            line = line[:line.index("#")]
         parts = line.split()
-        if len(parts) == 4 and parts[0] == "RX" and parts[2] == "->" \
-                and parts[1] in state_set and parts[3] in state_set:
-            rx.add((parts[1], parts[3]))
+        if not parts:
             continue
-        if len(parts) == 5 and parts[0] == "RB" and parts[3] == "->" \
-                and parts[1] in agent_set and parts[2] in state_set \
-                and parts[4] in state_set:
-            rb[parts[1]].add((parts[2], parts[4]))
-            continue
-        toks = words(lineno, line)
+        head = parts[0]
+        # a canonical line is read from its split; the rest fall through
+        if head == "RX":
+            if len(parts) == 4 and parts[2] == "->":
+                x, y = state_index(parts[1]), state_index(parts[3])
+                if x is not None and y is not None:
+                    rx.add((x, y))
+                    continue
+        elif head == "label":
+            if len(parts) >= 4 and parts[2] == "=":
+                x = state_index(parts[1])
+                inner = " ".join(parts[3:]) if len(parts) > 4 else parts[3]
+                if x is not None and rows[x] is None \
+                        and inner[0] == "[" and inner[-1] == "]":
+                    row = frozenset(inner[1:-1].split())
+                    if row <= atom_set:
+                        rows[x] = row
+                        continue
+        elif head == "RB":
+            if len(parts) == 5 and parts[3] == "->":
+                a, x, y = agent_index(parts[1]), state_index(parts[2]), state_index(parts[4])
+                if a is not None and x is not None and y is not None:
+                    rb[a].add((x, y))
+                    continue
+        toks = words(line)
         head, headcol = toks[0]
         if head == "label":
             if len(toks) < 4 or toks[2][0] != "=" or toks[3][0] != "[" or toks[-1][0] != "]":
                 err(lineno, headcol, "malformed label line", expected="'label <state> = [atoms...]'")
-            state = check("state", toks[1][0], lineno, toks[1][1])
-            if state in labels:
-                err(lineno, toks[1][1], f"duplicate label line for {state!r}")
-            labels[state] = [check("atom", w, lineno, c) for (w, c) in toks[4:-1]]
+            x = resolve("state", toks[1], lineno)
+            if rows[x] is not None:
+                err(lineno, toks[1][1], f"duplicate label line for {toks[1][0]!r}")
+            rows[x] = frozenset([resolve("atom", tok, lineno) for tok in toks[4:-1]])
         elif head == "RX":
             rx.add(parse_arrow(toks, lineno, 1))
         elif head == "RB":
             if len(toks) < 2:
                 err(lineno, headcol, "malformed RB line",
                     expected="'RB <agent> <state> -> <state>'")
-            agent = check("agent", toks[1][0], lineno, toks[1][1])
-            rb[agent].add(parse_arrow(toks, lineno, 2))
+            a = resolve("agent", toks[1], lineno)
+            rb[a].add(parse_arrow(toks, lineno, 2))
         elif head in ("RP", "RI"):
             table = rp if head == "RP" else ri
             if len(toks) < 4 or toks[3][0] != "=":
                 err(lineno, headcol, f"malformed {head} line",
                     expected=f"'{head} <agent> <state> = {{ ... }}'")
-            agent = check("agent", toks[1][0], lineno, toks[1][1])
-            state = check("state", toks[2][0], lineno, toks[2][1])
-            table[agent].setdefault(state, set()).update(parse_sets(toks, lineno, 4))
+            a = resolve("agent", toks[1], lineno)
+            x = resolve("state", toks[2], lineno)
+            table[a].setdefault(x, set()).update(parse_sets(toks, lineno, 4))
         else:
             err(lineno, headcol, f"unknown line {head!r}",
                 expected="label/RX/RB/RP/RI")
 
-    missing = [s for s in states if s not in labels]
-    if missing:
-        err(len(text.splitlines()) + 1, 1, f"missing label line for state {missing[0]!r}")
+    if None in rows:
+        err(len(lines) + 1, 1, f"missing label line for state {states[rows.index(None)]!r}")
 
-    return make_model(
+    def families(table):
+        out = {}
+        for a, per_state in zip(agents, table):
+            row = [frozenset()] * n
+            for x, members in per_state.items():
+                row[x] = frozenset(members)
+            out[a] = tuple(row)
+        return out
+
+    return Model(
         states=states,
         atoms=atoms,
         agents=agents,
-        labeling=labels,
-        belief=rb,
-        temporal=rx,
-        pref=rp,
-        intent=ri,
+        labeling=tuple(rows),
+        belief={a: frozenset(pairs) for a, pairs in zip(agents, rb)},
+        temporal=frozenset(rx),
+        pref=families(rp),
+        intent=families(ri),
     )
 
 

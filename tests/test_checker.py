@@ -68,6 +68,47 @@ def test_tarjan_respects_induced_subgraph():
     assert part.nontrivial == (False,)
 
 
+def _mutual_reachability(sub, succ):
+    """Brute force: component -> nontrivial flag, by one search per node
+    inside sub."""
+    reach = {}
+    for s in sub:
+        seen, frontier = {s}, [s]
+        while frontier:
+            for t in succ[frontier.pop()]:
+                if t in sub and t not in seen:
+                    seen.add(t)
+                    frontier.append(t)
+        reach[s] = seen
+    out = {}
+    for s in sub:
+        comp = frozenset(t for t in reach[s] if s in reach[t])
+        out[comp] = len(comp) > 1 or s in succ[s]
+    return out
+
+
+def test_tarjan_matches_mutual_reachability():
+    rng = random.Random(23)
+    for _ in range(250):
+        n = rng.randint(1, 40)
+        density = rng.choice([0.0, 0.03, 0.08, 0.2, 0.5])
+        succ = [[t for t in range(n) if rng.random() < density] for _ in range(n)]
+        for x, row in enumerate(succ):
+            if rng.random() < 0.15:
+                row.append(x)  # a self-loop, sometimes twice
+            rng.shuffle(row)
+        sub = frozenset(s for s in range(n) if rng.random() < rng.choice([0.4, 0.8, 1.0]))
+        part = tarjan_scc(sub, succ)
+        assert len(part.components) == len(part.nontrivial)
+        found = dict(zip(part.components, part.nontrivial))
+        assert len(found) == len(part.components)
+        assert found == _mutual_reachability(sub, succ)
+        # completed sink-first: an edge never leads to a later component
+        position = {s: i for i, comp in enumerate(part.components) for s in comp}
+        assert all(position[t] <= position[s]
+                   for s in sub for t in succ[s] if t in sub)
+
+
 def test_eg_needs_nontrivial_scc():
     # p holds on a path with no cycle inside [[p]], so EG p is empty
     m = make_model(

@@ -210,6 +210,39 @@ def test_non_utf8_file_is_unreadable_input(model_file, tmp_path, argv, capsys):
     assert err.startswith(f"error: {bad}: not UTF-8 text: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "MODEL", "p"],
+    ["check", "PLAIN_MODEL", "FORMULA"],
+    ["validate", "MODEL"],
+    ["axioms", "MODEL", "--pool", "1"],
+    ["sat", "FORMULA", "--max-states", "1"],
+    ["fmt", "MODEL"],
+])
+def test_byte_order_mark_is_skipped(model_file, tmp_path, argv, capsys):
+    text = {"MODEL": Path(model_file).read_text(), "FORMULA": "EF p\n"}
+    plain = {"PLAIN_MODEL": model_file}
+    marked = {"PLAIN_MODEL": model_file}
+    for name, body in text.items():
+        (tmp_path / name).write_text(body, encoding="utf-8")
+        (tmp_path / f"{name}.bom").write_text("\ufeff" + body, encoding="utf-8")
+        plain[name], marked[name] = str(tmp_path / name), str(tmp_path / f"{name}.bom")
+    assert run([plain.get(a, a) for a in argv]) == 0
+    expected = capsys.readouterr()
+    assert run([marked.get(a, a) for a in argv]) == 0
+    assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize("char", list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+def test_model_comment_keeps_other_line_breaks(tmp_path, char, capsys):
+    # only \n, \r\n and \r end a model line, as in a formula file
+    canonical = render_model(example_model())
+    path = tmp_path / "m.bpm"
+    path.write_text(f"# page break{char} next page\n{canonical}", encoding="utf-8")
+    assert run(["check", str(path), "p"]) == 0
+    assert run(["fmt", str(path)]) == 0
+    assert capsys.readouterr() == ("states: s0\n" + canonical, "")
+
+
 def test_usage_error_exit(capsys):
     assert run(["frobnicate"]) == 2
 

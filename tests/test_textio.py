@@ -15,6 +15,7 @@ from bpictl.textio import (
     render_model,
 )
 
+import textio_reference
 from conftest import example_model, random_formula, random_model
 
 
@@ -250,3 +251,104 @@ def test_parse_model_raises_only_parse_errors(text):
         parse_model(text)
     except _PARSE_ERRORS:
         pass
+
+
+# The parser against its reference: the name-level parser it replaced,
+# which built the model through make_model. Each text must give an equal
+# model or the same exception with the same message and position.
+
+# str.splitlines ends a line at these too; a .bpm line does not end there
+_OTHER_BREAKS = str.maketrans(dict.fromkeys("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029", " "))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except _PARSE_ERRORS as exc:
+        return type(exc), exc.args, vars(exc)
+
+
+def _assert_parses_as_reference(text):
+    assert _outcome(parse_model, text) == _outcome(textio_reference.parse_model, text)
+
+
+def _variant(rng, text):
+    """The rendered model text with one to three textual edits: some keep
+    the model, some break it."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        body = rng.randrange(3, len(lines)) if len(lines) > 3 else i
+        edit = rng.randrange(12)
+        if edit == 0:  # glue the arrow, '=', brackets and braces
+            for spaced, glued in ((" -> ", "->"), (" = ", "="), ("= [", "=["),
+                                  ("[ ", "["), (" ]", "]"), ("{ ", "{"), (" }", "}")):
+                if rng.random() < 0.6:
+                    lines[body] = lines[body].replace(spaced, glued)
+        elif edit == 1:  # tabs and extra spaces
+            lines[i] = "".join(rng.choice([" ", "\t", "  ", " \t "]) if c == " " else c
+                               for c in lines[i]) + rng.choice(["", " ", "\t"])
+        elif edit == 2:  # a comment, trailing or on a line of its own
+            if rng.random() < 0.5:
+                lines[i] += rng.choice(["  # RX s0 -> s1", "#", "# label s0 = [p]"])
+            else:
+                lines.insert(i, rng.choice(["# comment", "   # states s9", "#"]))
+        elif edit == 3:  # blank lines
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "  ", "\t"]))
+        elif edit == 4:  # sections reordered
+            rest = lines[3:]
+            rng.shuffle(rest)
+            lines[3:] = rest
+        elif edit == 5:  # a duplicate line: an edge, a family, a label
+            lines.insert(rng.randrange(3, len(lines) + 1), lines[body])
+        elif edit in (6, 7):  # an undeclared or misplaced name
+            words = lines[body].split(" ")
+            k = rng.randrange(len(words))
+            words[k] = rng.choice(["zz", "s9", "s0", "p", "q", "a", "b", "true", "RX"])
+            lines[body] = " ".join(words)
+        elif edit == 8:  # a line cut short
+            lines[i] = lines[i][:rng.randrange(len(lines[i]) + 1)]
+        elif edit == 9:  # a line dropped
+            del lines[body]
+        elif edit == 10:  # another keyword
+            words = lines[body].split(" ")
+            words[0] = rng.choice(["RX", "RB", "RP", "RI", "label", "states", "RY"])
+            lines[body] = " ".join(words)
+        else:  # a header name duplicated, dropped or reserved
+            k = rng.randrange(min(3, len(lines)))
+            lines[k] = rng.choice([lines[k] + " " + lines[k].split(" ")[-1],
+                                   lines[k].rsplit(" ", 1)[0], lines[k] + " true"])
+        if not lines:
+            break
+    return "\n".join(lines) + rng.choice(["\n", "", "\r\n", "\n\n"])
+
+
+def test_parse_model_matches_reference_on_rendered_models_and_variants():
+    rng = random.Random(29)
+    for _ in range(150):
+        text = render_model(random_model(rng, max_states=4))
+        _assert_parses_as_reference(text)
+        for _ in range(5):
+            _assert_parses_as_reference(_variant(rng, text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_sentences(_MODEL_WORDS),
+                 _sentences(_MODEL_WORDS).map(
+                     lambda body: "states s0 s1\natoms p q\nagents a b\n" + body)))
+def test_parse_model_matches_reference_on_word_salad(text):
+    _assert_parses_as_reference(text.translate(_OTHER_BREAKS))
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_model_lines_end_at_universal_newlines(end):
+    text = render_model(example_model())
+    assert parse_model(text.replace("\n", end)) == parse_model(text)
+
+
+@pytest.mark.parametrize("char", list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+def test_other_line_breaks_stay_inside_a_model_comment(char):
+    text = render_model(example_model())
+    head, rest = text.split("\n", 1)
+    commented = f"# page{char}break\n{head}  # note{char}more\n{rest}"
+    assert parse_model(commented) == example_model()
