@@ -46,7 +46,7 @@ class Model:
     _view: View | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # sat_search builds a Model per candidate: keep these checks cheap
+        # every parse_model call builds a Model: keep these checks cheap
         n = len(self.states)
         if not n:
             raise ModelError("a model needs at least one state")
@@ -115,7 +115,7 @@ class Model:
     @property
     def view(self) -> View:
         """The compiled view, built on first use. Do not change the model after."""
-        if self._view is None:  # not a cached_property: sat builds models by the thousand
+        if self._view is None:
             self._view = View(self)
         return self._view
 
@@ -150,12 +150,12 @@ class View:
     @cached_property
     def pref(self) -> dict:  # agent -> Neighbourhoods
         cache = {}  # family -> its member masks; states often share families
-        return {a: _neighbourhoods(t, cache) for a, t in self._pref.items()}
+        return {a: neighbourhoods(t, cache) for a, t in self._pref.items()}
 
     @cached_property
     def intent(self) -> dict:  # agent -> Neighbourhoods
         cache = {}
-        return {a: _neighbourhoods(t, cache) for a, t in self._intent.items()}
+        return {a: neighbourhoods(t, cache) for a, t in self._intent.items()}
 
     @cached_property
     def reach(self) -> tuple:
@@ -210,7 +210,9 @@ def _successor_masks(rel, n: int) -> tuple:
     return tuple(succ)
 
 
-def _neighbourhoods(per_state, cache: dict) -> Neighbourhoods:
+def neighbourhoods(per_state, cache: dict) -> Neighbourhoods:
+    """Per-state families as masks; cache maps a family to its member
+    masks and may be shared across calls."""
     sets = []
     image = {}
     for x, family in enumerate(per_state):

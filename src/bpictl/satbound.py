@@ -64,31 +64,48 @@ that pair is frame-valid. The identity belief relation never clashes (a
 belief, temporal, belief path is a temporal step, and the states whose
 belief successors lie in Q are Q itself), so every T still yields
 candidates, and the work between two counted candidates stays bounded by
-one pass over the belief relations.
+one pass over the belief relations and one pre-image table of T.
 
 Within one search, each size's components (KD45 relations with their
-preference families, the sorted labelings) are built once, and the
-temporal relations are generated once; the combinations of the agents'
-choices are produced lazily, one candidate at a time, so the budget bounds
-the work. Nothing is kept between searches.
+preference families, and the tables below) are built once, and the
+temporal relations are generated once. The sorted labelings are generated
+lazily, in order; when there are several temporal relations, they are
+kept as the first one's pass consumes them. The combinations of the
+agents' choices are produced one candidate at a time, so the budget bounds
+the work, also with many atoms. Nothing is kept between searches.
+
+No candidate is built as a ``Model``. The core formula is compiled once
+per search into a postorder list of slot operations, and each candidate is
+checked on state masks (bit x is state x): a labeling is one mask per atom,
+boolean operators are bitwise, EX reads a pre-image table of T (for each
+state mask v, the states with a successor in v), AX and B hold where the
+pre-image of the complement under T or the belief relation does not,
+P{a} reads the image of the agent's preference family (member mask ->
+states whose family holds it), I{a} is empty because the intention
+families are, and EF, EG and EU iterate the EX pre-image to a fixpoint in
+at most n rounds. Only the witness becomes a ``Model``: it is validated,
+and replayed with ``eval_formula``, and a disagreement with the mask
+result raises.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .checker import eval_formula
 from .formula import (
     Formula,
     agents_of,
     atoms_of,
+    descendants,
     mentions_neighbourhood,
     mentions_temporal,
     rewrite_derived,
     subformula_closure,
 )
 from .frames import clashes_with_temporal, validate_model
-from .model import Model, mask_of, powerset
+from .model import Model, mask_of, neighbourhoods, powerset
 
 DEFAULT_MAX_STATES = 3
 DEFAULT_BUDGET = 10_000_000
@@ -182,6 +199,16 @@ def _clashing(relations, n: int, successors: tuple) -> set:
             if clashes_with_temporal(n, succ, successors)}
 
 
+class _Choice(NamedTuple):
+    """One agent's choice in a candidate: a belief option with the tables
+    the compiled formula reads."""
+
+    relation: frozenset  # the KD45 belief relation
+    families: tuple      # per state: the preference family, as in a Model
+    believes: tuple      # pre-image table of the belief relation
+    prefers: dict        # member mask -> mask of the states whose family holds it
+
+
 def sat_search(
     f: Formula,
     max_states: int = DEFAULT_MAX_STATES,
@@ -191,49 +218,174 @@ def sat_search(
 
     Returns sat with a witness model, unsat-up-to when the bounded space is
     exhausted, or aborted when the candidate budget runs out first. Raises
-    RuntimeError if the witness fails the frame validator."""
+    RuntimeError if the witness fails the frame validator or if
+    eval_formula disagrees with the candidate check on it."""
     core = rewrite_derived(f)
     atoms = tuple(sorted(atoms_of(core))) or ("p",)
     agents = tuple(sorted(agents_of(core))) or ("a",)
     needs_families = mentions_neighbourhood(core)
     needs_temporal = mentions_temporal(core)
     _, bound = closure_bound(f)
-    rows = [frozenset(p for i, p in enumerate(atoms) if mask >> i & 1)
-            for mask in range(1 << len(atoms))]
+    program = _compile(core, atoms, agents)
 
     explored = 0
     for n in range(1, max_states + 1):
-        states = tuple(f"s{i}" for i in range(n))
-        intent = {a: (frozenset(),) * n for a in agents}
-        labelings = [tuple(rows[i] for i in combo) for combo in
-                     itertools.combinations_with_replacement(range(len(rows)), n)]
-        relations, options = _belief_options(n, needs_families)
+        relations, choices = _choices(n, needs_families)
         temporals = (_temporal_relations(n) if needs_temporal
                      else ((frozenset(), (0,) * n),))
+        fresh = _labelings(len(atoms), n)
+        kept = []  # with several T, the labelings the first T's pass made
+        if needs_temporal:
+            fresh = _keeping(fresh, kept)
         for temporal, successors in temporals:
             clash = _clashing(relations, n, successors)
-            allowed = [o for o in options if o[0] not in clash]
-            for labeling in labelings:
+            allowed = [c for c in choices if c.relation not in clash]
+            ex = _pre_image(successors)
+            for labels, atom_masks in kept or fresh:
                 for combo in itertools.product(allowed, repeat=len(agents)):
                     explored += 1
                     if explored > budget:
                         return SatResult(
                             "aborted", None, None, explored - 1, bound, max_states
                         )
-                    m = Model(
-                        states=states, atoms=atoms, agents=agents,
-                        labeling=labeling, temporal=temporal, intent=intent,
-                        belief={a: rel for a, (rel, _) in zip(agents, combo)},
-                        pref={a: fam for a, (_, fam) in zip(agents, combo)},
-                    )
-                    sat = eval_formula(m, core)
-                    if sat:
-                        report = validate_model(m)
-                        if not report.passed:
-                            raise RuntimeError(f"witness not frame-valid: {report.violations}")
-                        witness = m.states[min(sat)]
+                    holds = _evaluate(program, atom_masks, ex, combo)
+                    if holds:
+                        m = _witness(core, holds, atoms, agents, labels, temporal, combo)
+                        witness = m.states[(holds & -holds).bit_length() - 1]
                         return SatResult("sat", m, witness, explored, bound, max_states)
     return SatResult("unsat-up-to", None, None, explored, bound, max_states)
+
+
+def _witness(core, holds, atoms, agents, labels, temporal, combo) -> Model:
+    """The candidate as a Model, validated and replayed with eval_formula."""
+    n = len(labels)
+    m = Model(
+        states=tuple(f"s{i}" for i in range(n)), atoms=atoms, agents=agents,
+        labeling=tuple(frozenset(p for j, p in enumerate(atoms) if label >> j & 1)
+                       for label in labels),
+        temporal=temporal,
+        belief={a: c.relation for a, c in zip(agents, combo)},
+        pref={a: c.families for a, c in zip(agents, combo)},
+        intent={a: (frozenset(),) * n for a in agents},
+    )
+    report = validate_model(m)
+    if not report.passed:
+        raise RuntimeError(f"witness not frame-valid: {report.violations}")
+    replayed = mask_of(eval_formula(m, core))
+    if replayed != holds:
+        raise RuntimeError(f"witness replay disagrees: eval_formula gives state mask "
+                           f"{replayed:#b}, the candidate check {holds:#b}")
+    return m
+
+
+def _compile(core: Formula, atoms: tuple, agents: tuple) -> tuple:
+    """The core formula as (op, a, b) slot operations in postorder, core
+    last: a and b are the slots of the operands, except that a is the atom's
+    index for an atom and b the agent's index for B, P and I."""
+    slots = {}
+    program = []
+    for g in (*descendants(core), core):
+        a, b = slots.get(g.left), slots.get(g.right)
+        if g.op == "atom":
+            a = atoms.index(g.name)
+        elif g.agent is not None:
+            b = agents.index(g.agent)
+        slots[g] = len(program)
+        program.append((g.op, a, b))
+    return tuple(program)
+
+
+def _evaluate(program: tuple, atom_masks: tuple, ex: tuple, combo: tuple) -> int:
+    """The mask of the states where the compiled formula holds in one
+    candidate: atom_masks per atom, ex the pre-image table of T, and per
+    agent its _Choice."""
+    full = len(ex) - 1
+    v = []
+    for op, a, b in program:
+        if op == "and":
+            r = v[a] & v[b]
+        elif op == "not":
+            r = full ^ v[a]
+        elif op == "atom":
+            r = atom_masks[a]
+        elif op == "or":
+            r = v[a] | v[b]
+        elif op == "B":
+            r = full ^ combo[b].believes[full ^ v[a]]
+        elif op == "P":
+            r = combo[b].prefers.get(v[a], 0)
+        elif op == "EX":
+            r = ex[v[a]]
+        elif op == "AX":
+            r = full ^ ex[full ^ v[a]]
+        elif op == "true":
+            r = full
+        elif op == "I":
+            r = 0
+        elif op == "EF":  # least fixpoint of r | EX r
+            r = v[a]
+            while (step := r | ex[r]) != r:
+                r = step
+        elif op == "EG":  # greatest fixpoint of v[a] & EX r
+            r = v[a]
+            while (step := r & ex[r]) != r:
+                r = step
+        elif op == "EU":  # least fixpoint of v[b] | v[a] & EX r
+            r, hold = v[b], v[a]
+            while (step := r | hold & ex[r]) != r:
+                r = step
+        else:
+            raise ValueError(f"non-core operator reached the sat search: {op!r}")
+        v.append(r)
+    return v[-1]
+
+
+def _pre_image(successors: tuple) -> tuple:
+    """For each state mask v, the mask of the states with a successor in v,
+    given each state's successor mask."""
+    preds = [mask_of(x for x, succ in enumerate(successors) if succ >> y & 1)
+             for y in range(len(successors))]
+    table = [0]
+    for v in range(1, 1 << len(successors)):
+        low = v & -v
+        table.append(table[v ^ low] | preds[low.bit_length() - 1])
+    return tuple(table)
+
+
+def _labelings(k: int, n: int):
+    """The sorted labelings of n states with k atoms, lazily, in the order
+    of combinations_with_replacement(range(2 ** k), n), which would first
+    copy all 2^k label masks: each as its per-state atom masks and its
+    per-atom state masks."""
+    last = (1 << k) - 1
+    labels = [0] * n
+    while True:
+        yield tuple(labels), tuple(mask_of(x for x, label in enumerate(labels) if label >> j & 1)
+                                   for j in range(k))
+        x = n - 1
+        while x >= 0 and labels[x] == last:
+            x -= 1
+        if x < 0:
+            return
+        labels[x:] = [labels[x] + 1] * (n - x)
+
+
+def _keeping(items, kept: list):
+    """items, each appended to kept as it is produced."""
+    for item in items:
+        kept.append(item)
+        yield item
+
+
+def _choices(n: int, needs_families: bool):
+    """_belief_options with each option's tables, as _Choice."""
+    relations, options = _belief_options(n, needs_families)
+    believes = {rel: _pre_image(succ) for rel, succ in relations}
+    cache = {}  # family -> its member masks, shared across options
+    return relations, [
+        _Choice(rel, fam, believes[rel], neighbourhoods(fam, cache).image)
+        for rel, fam in options
+    ]
 
 
 def _belief_options(n: int, needs_families: bool):

@@ -1,7 +1,11 @@
-"""Brute-force bounded sat search: the literal enumerator that
-``bpictl.satbound`` reduces, kept as the reference it is tested against.
+"""Reference bounded sat searches that ``bpictl.satbound`` is tested against.
 
-It enumerates every labeling and every temporal relation at each size, and
+``sat_search`` is the brute-force literal enumerator that ``satbound``
+reduces. ``model_per_candidate_search`` enumerates exactly the candidates
+of ``satbound.sat_search``, in the same order, but builds every candidate
+as a ``Model`` and checks it with ``eval_formula``.
+
+The brute-force search enumerates every labeling and every temporal relation at each size, and
 regenerates the KD45 relations and preference families for every
 (labeling, temporal relation) pair. Candidates are the same structural
 shapes as in ``satbound``: KD45 belief clusters, cluster-constant
@@ -11,9 +15,22 @@ trace-determined preference families and empty intention families.
 import itertools
 
 from bpictl.checker import eval_formula
-from bpictl.formula import agents_of, atoms_of, mentions_neighbourhood, rewrite_derived
+from bpictl.formula import (
+    agents_of,
+    atoms_of,
+    mentions_neighbourhood,
+    mentions_temporal,
+    rewrite_derived,
+)
 from bpictl.frames import validate_model
 from bpictl.model import Model, powerset
+from bpictl.satbound import (
+    SatResult,
+    _belief_options,
+    _clashing,
+    _temporal_relations,
+    closure_bound,
+)
 
 
 def sat_search(f, max_states):
@@ -100,3 +117,48 @@ def _belief_and_families(agents, n, needs_families):
         belief = {a: combo[i][0] for i, a in enumerate(agents)}
         fams = {a: combo[i][1] for i, a in enumerate(agents)}
         yield belief, fams
+
+
+def model_per_candidate_search(f, max_states, budget):
+    """satbound.sat_search's enumeration with a Model and an eval_formula
+    call per candidate: the same SatResult for the same arguments."""
+    core = rewrite_derived(f)
+    atoms = tuple(sorted(atoms_of(core))) or ("p",)
+    agents = tuple(sorted(agents_of(core))) or ("a",)
+    needs_families = mentions_neighbourhood(core)
+    needs_temporal = mentions_temporal(core)
+    _, bound = closure_bound(f)
+    rows = [frozenset(p for i, p in enumerate(atoms) if mask >> i & 1)
+            for mask in range(1 << len(atoms))]
+
+    explored = 0
+    for n in range(1, max_states + 1):
+        states = tuple(f"s{i}" for i in range(n))
+        intent = {a: (frozenset(),) * n for a in agents}
+        labelings = [tuple(rows[i] for i in combo) for combo in
+                     itertools.combinations_with_replacement(range(len(rows)), n)]
+        relations, options = _belief_options(n, needs_families)
+        temporals = (_temporal_relations(n) if needs_temporal
+                     else ((frozenset(), (0,) * n),))
+        for temporal, successors in temporals:
+            clash = _clashing(relations, n, successors)
+            allowed = [o for o in options if o[0] not in clash]
+            for labeling in labelings:
+                for combo in itertools.product(allowed, repeat=len(agents)):
+                    explored += 1
+                    if explored > budget:
+                        return SatResult(
+                            "aborted", None, None, explored - 1, bound, max_states
+                        )
+                    m = Model(
+                        states=states, atoms=atoms, agents=agents,
+                        labeling=labeling, temporal=temporal, intent=intent,
+                        belief={a: rel for a, (rel, _) in zip(agents, combo)},
+                        pref={a: fam for a, (_, fam) in zip(agents, combo)},
+                    )
+                    sat = eval_formula(m, core)
+                    if sat:
+                        assert validate_model(m).passed
+                        witness = m.states[min(sat)]
+                        return SatResult("sat", m, witness, explored, bound, max_states)
+    return SatResult("unsat-up-to", None, None, explored, bound, max_states)

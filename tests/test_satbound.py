@@ -1,4 +1,7 @@
+import itertools
 import random
+import time
+from collections import Counter
 
 import pytest
 
@@ -6,9 +9,18 @@ import satbound_reference as reference
 from bpictl import satbound
 from bpictl.checker import eval_formula
 from bpictl.cli import run
-from bpictl.formula import mentions_neighbourhood, mentions_temporal, subformulas
+from bpictl.formula import (
+    CORE_OPS,
+    Not,
+    agents_of,
+    atoms_of,
+    mentions_neighbourhood,
+    mentions_temporal,
+    rewrite_derived,
+    subformulas,
+)
 from bpictl.frames import check_condition, validate_model
-from bpictl.model import Model
+from bpictl.model import Model, bits, mask_of
 from bpictl.oracle import denote
 from bpictl.satbound import _belief_options, closure_bound, sat_search
 from bpictl.textio import parse_formula, render_formula
@@ -99,6 +111,12 @@ def test_contradiction_candidate_counts(text, states, candidates):
     assert r.explored == candidates
 
 
+def test_labelings_come_in_combinations_with_replacement_order():
+    for k, n in itertools.product((1, 2, 3), (1, 2, 3, 4)):
+        made = [labels for labels, _ in satbound._labelings(k, n)]
+        assert made == list(itertools.combinations_with_replacement(range(1 << k), n))
+
+
 def test_kd45_relations_match_the_filter():
     # built from clusters, in the order the reference's filter yields them
     for n in (1, 2, 3, 4):
@@ -140,6 +158,7 @@ def test_budget_bounds_a_three_agent_search():
     r = sat_search(f, max_states=3, budget=12_400)
     assert r.verdict == "aborted"
     assert r.explored == 12_400
+    assert r == reference.model_per_candidate_search(f, 3, 12_400)
 
 
 def test_temporal_search_skips_clashing_pairs():
@@ -209,3 +228,109 @@ def test_verdicts_match_reference_at_three_states(text, verdict):
     if verdict == "sat":
         assert r.model.n == 3
         _assert_witness(r, f)
+
+
+def test_search_matches_the_model_per_candidate_loop_up_to_two_states():
+    for f in _corpus() + [Not(f) for f in _corpus()]:
+        expected = reference.model_per_candidate_search(f, 2, satbound.DEFAULT_BUDGET)
+        assert sat_search(f, max_states=2) == expected, render_formula(f)
+
+
+@pytest.mark.parametrize("text, budget", [
+    ("B{a} p & !B{a} B{a} p", satbound.DEFAULT_BUDGET),
+    ("!p & !q & B{a}(p | q) & !B{a} p & !B{a} q", satbound.DEFAULT_BUDGET),
+    ("EX p & AX !p", satbound.DEFAULT_BUDGET),
+    ("P{a} p & !P{a} p", satbound.DEFAULT_BUDGET),
+    ("EG p & !E[p U !p] & EX EX !q", satbound.DEFAULT_BUDGET),
+    ("p & !p", 10),
+    ("EX p & AX !p", 5_000),
+    ("B{a} p & !B{b} p & P{b} q & !q", 2_000),
+])
+def test_search_matches_the_model_per_candidate_loop_at_three_states(text, budget):
+    f = parse_formula(text)
+    expected = reference.model_per_candidate_search(f, 3, budget)
+    assert sat_search(f, max_states=3, budget=budget) == expected
+
+
+def _candidate_model(core, atom_masks, ex, combo) -> Model:
+    """A Model of one candidate, read back from what the candidate check
+    reads: T from the pre-image table's singletons."""
+    n = len(ex).bit_length() - 1
+    atoms = tuple(sorted(atoms_of(core))) or ("p",)
+    agents = tuple(sorted(agents_of(core))) or ("a",)
+    return Model(
+        states=tuple(f"s{i}" for i in range(n)), atoms=atoms, agents=agents,
+        labeling=tuple(frozenset(p for p, m in zip(atoms, atom_masks) if m >> x & 1)
+                       for x in range(n)),
+        temporal=frozenset((x, y) for y in range(n) for x in bits(ex[1 << y])),
+        belief={a: c.relation for a, c in zip(agents, combo)},
+        pref={a: c.families for a, c in zip(agents, combo)},
+        intent={a: (frozenset(),) * n for a in agents},
+    )
+
+
+def test_every_candidate_check_matches_eval_formula(monkeypatch):
+    checks = Counter()
+    evaluate = satbound._evaluate
+
+    def checked(program, atom_masks, ex, combo):
+        holds = evaluate(program, atom_masks, ex, combo)
+        m = _candidate_model(core, atom_masks, ex, combo)
+        assert holds == mask_of(eval_formula(m, core)), (render_formula(core), m)
+        checks.update(op for op, _, _ in program)
+        return holds
+
+    monkeypatch.setattr(satbound, "_evaluate", checked)
+    # the corpus rarely writes EX and has one agent; these searches check
+    # EX on every T, and each agent's own tables
+    pinned = ["EX p & AX !p", "EX EX p & !EF p", "EX B{a} p & AX EX !p",
+              "P{b} p & !P{a} p & B{a} !p & !B{b} !p"]
+    for f in _corpus() + [Not(f) for f in _corpus()] + list(map(parse_formula, pinned)):
+        core = rewrite_derived(f)
+        sat_search(f, max_states=2)
+    assert set(checks) == CORE_OPS
+    assert min(checks.values()) > 300
+
+
+def _count_calls(monkeypatch) -> Counter:
+    """Counts the Model builds and eval_formula calls of sat_search."""
+    counts = Counter()
+    for name in ("Model", "eval_formula"):
+        def counting(*args, _name=name, _original=getattr(satbound, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(satbound, name, counting)
+    return counts
+
+
+def test_an_unsat_search_builds_no_model(monkeypatch):
+    counts = _count_calls(monkeypatch)
+    r = sat_search(parse_formula("EX p & AX !p"), max_states=3)
+    assert (r.verdict, r.explored) == ("unsat-up-to", 8_119)
+    assert counts == {}
+
+
+def test_a_sat_search_builds_and_replays_the_witness_only(monkeypatch):
+    counts = _count_calls(monkeypatch)
+    r = sat_search(parse_formula("!p & !q & B{a}(p | q) & !B{a} p & !B{a} q"), 3)
+    assert r.verdict == "sat"
+    assert r.explored > 100
+    assert counts == {"Model": 1, "eval_formula": 1}
+
+
+def test_a_faulty_candidate_check_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr(satbound, "_evaluate", lambda program, atom_masks, ex, combo: 1)
+    with pytest.raises(RuntimeError, match="witness replay disagrees"):
+        sat_search(parse_formula("p & !p"), max_states=1)
+    assert run(["sat", "p & !p", "--max-states", "1"]) == 4
+    assert "witness replay disagrees" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("atoms", [20, 22])
+def test_many_atoms_abort_at_once(atoms):
+    # labelings are made as the search reaches them, so the five candidates
+    # of the budget cost five labelings, not 2^atoms label sets
+    formula = " & ".join(f"p{i}" for i in range(atoms))
+    start = time.perf_counter()
+    assert run(["sat", formula, "--budget", "5", "--max-states", "2"]) == 3
+    assert time.perf_counter() - start < 1
