@@ -149,13 +149,11 @@ class View:
 
     @cached_property
     def pref(self) -> dict:  # agent -> Neighbourhoods
-        cache = {}  # family -> its member masks; states often share families
-        return {a: neighbourhoods(t, cache) for a, t in self._pref.items()}
+        return {a: neighbourhoods(t) for a, t in self._pref.items()}
 
     @cached_property
     def intent(self) -> dict:  # agent -> Neighbourhoods
-        cache = {}
-        return {a: neighbourhoods(t, cache) for a, t in self._intent.items()}
+        return {a: neighbourhoods(t) for a, t in self._intent.items()}
 
     @cached_property
     def reach(self) -> tuple:
@@ -210,9 +208,9 @@ def _successor_masks(rel, n: int) -> tuple:
     return tuple(succ)
 
 
-def neighbourhoods(per_state, cache: dict) -> Neighbourhoods:
-    """Per-state families as masks; cache maps a family to its member
-    masks and may be shared across calls."""
+def neighbourhoods(per_state) -> Neighbourhoods:
+    """Per-state families as masks."""
+    cache = {}  # family -> its member masks; states often share families
     sets = []
     image = {}
     for x, family in enumerate(per_state):

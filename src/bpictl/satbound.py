@@ -74,18 +74,20 @@ kept as the first one's pass consumes them. The combinations of the
 agents' choices are produced one candidate at a time, so the budget bounds
 the work, also with many atoms. Nothing is kept between searches.
 
-No candidate is built as a ``Model``. The core formula is compiled once
-per search into a postorder list of slot operations, and each candidate is
-checked on state masks (bit x is state x): a labeling is one mask per atom,
-boolean operators are bitwise, EX reads a pre-image table of T (for each
-state mask v, the states with a successor in v), AX and B hold where the
-pre-image of the complement under T or the belief relation does not,
-P{a} reads the image of the agent's preference family (member mask ->
-states whose family holds it), I{a} is empty because the intention
-families are, and EF, EG and EU iterate the EX pre-image to a fixpoint in
-at most n rounds. Only the witness becomes a ``Model``: it is validated,
-and replayed with ``eval_formula``, and a disagreement with the mask
-result raises.
+Every component is a state mask (bit x is state x) from generation on: T
+and each belief relation are successor masks, a preference family is a
+set of member masks, and a labeling is one mask per atom. The core formula
+is compiled once per search into a postorder list of slot operations, and
+each candidate is checked on those masks: boolean operators are bitwise,
+EX reads a pre-image table of T (for each state mask v, the states with a
+successor in v), AX and B hold where the pre-image of the complement under
+T or the belief relation does not, P{a} reads the image of the agent's
+preference families (member mask -> states whose family holds it), I{a}
+is empty because the intention families are, and EF, EG and EU iterate
+the EX pre-image to a fixpoint in at most n rounds. Only the witness is
+decoded into pairs, families and labels and built as a ``Model``: it is
+validated, and replayed with ``eval_formula``, and a disagreement with
+the mask result raises.
 """
 from __future__ import annotations
 
@@ -105,7 +107,7 @@ from .formula import (
     subformula_closure,
 )
 from .frames import clashes_with_temporal, validate_model
-from .model import Model, mask_of, neighbourhoods, powerset
+from .model import Model, bits, mask_of
 
 DEFAULT_MAX_STATES = 3
 DEFAULT_BUDGET = 10_000_000
@@ -128,31 +130,28 @@ def closure_bound(f: Formula):
 
 
 def _kd45_relations(n: int) -> list:
-    """All serial, transitive, euclidean relations on range(n), produced as
-    successor functions: every state maps to a nonempty cluster and every
-    member of a cluster maps to that same cluster. States are assigned in
-    order, each trying the nonempty subsets in bitmask order: a state in a
-    cluster already chosen maps to it, any other to a chosen cluster or to
-    a new one disjoint from the chosen ones and with no earlier member.
-    Every prefix so built extends, so the relations come out in the order
-    of itertools.product over those subsets, the order of a filter over
-    all (2^n - 1)^n assignments, at a cost that follows their number."""
-    nonempty = [q for q in powerset(n) if q]
+    """All serial, transitive, euclidean relations on range(n), as successor
+    masks: every state maps to a nonempty cluster and every member of a
+    cluster maps to that same cluster. States are assigned in order, each
+    trying the nonempty masks in ascending order: a state in a cluster
+    already chosen maps to it, any other to a chosen cluster or to a new
+    one disjoint from the chosen ones and with no earlier member. Every
+    prefix so built extends, so the relations come out in the order of
+    itertools.product over those masks, the order of a filter over all
+    (2^n - 1)^n assignments, at a cost that follows their number."""
     relations = []
     assignment = []
 
     def extend():
         x = len(assignment)
         if x == n:
-            relations.append((frozenset(
-                (s, y) for s in range(n) for y in assignment[s]
-            ), tuple(assignment)))
+            relations.append(tuple(assignment))
             return
         chosen = set(assignment)
-        own = [c for c in chosen if x in c]
-        for k in own or nonempty:
+        own = [c for c in chosen if c >> x & 1]
+        for k in own or range(1, 1 << n):
             if own or k in chosen or (
-                    min(k) >= x and all(c.isdisjoint(k) for c in chosen)):
+                    k >> x << x == k and all(not c & k for c in chosen)):
                 assignment.append(k)
                 extend()
                 assignment.pop()
@@ -161,16 +160,17 @@ def _kd45_relations(n: int) -> list:
     return relations
 
 
-def _trace_families(cluster: frozenset, n: int):
-    """Preference families over a cluster K: fam = {Q | Q ∩ K ∈ T} for a
-    trace set T of nonempty subsets of K (an empty trace would leave the
-    family without a supporting member state) that is closed under
-    intersection (P1) and holds t2 whenever it holds t1 and (K - t1) | t2
-    (P2). Traces are masks over the sorted members of K."""
-    members = sorted(cluster)
+def _trace_families(cluster: int, n: int):
+    """Preference families over a cluster mask K, as frozensets of member
+    masks: fam = {Q | Q ∩ K ∈ T} for a trace set T of nonempty subsets of K
+    (an empty trace would leave the family without a supporting member
+    state) that is closed under intersection (P1) and holds t2 whenever it
+    holds t1 and (K - t1) | t2 (P2). Traces are masks over the ascending
+    members of K."""
+    members = list(bits(cluster))
     full = (1 << len(members)) - 1
-    traced = [(q, mask_of(i for i, s in enumerate(members) if s in q))
-              for q in powerset(n)]
+    traced = [(q, mask_of(i for i, s in enumerate(members) if q >> s & 1))
+              for q in range(1 << n)]
     for mask in range(1 << full):
         tset = {t for t in range(1, full + 1) if mask >> t - 1 & 1}
         if all((t2 not in tset or t1 & t2 in tset)                 # P1
@@ -180,33 +180,20 @@ def _trace_families(cluster: frozenset, n: int):
 
 
 def _temporal_relations(n: int):
-    """Every relation on range(n), in bitmask order, with its successor
-    masks."""
-    pairs = [(x, y) for x in range(n) for y in range(n)]
+    """Every relation on range(n) as successor masks, in the bitmask order
+    of its (x, y) pairs, pair (x, y) at bit x * n + y."""
     row = (1 << n) - 1
-    for tmask in range(1 << len(pairs)):
-        yield (frozenset(pairs[i] for i in range(len(pairs)) if tmask >> i & 1),
-               tuple(tmask >> x * n & row for x in range(n)))
-
-
-def _clashing(relations, n: int, successors: tuple) -> set:
-    """The belief relations that BX1 or BX2 rejects together with the
-    temporal relation of these successor masks; none when it is empty (see
-    the module docstring)."""
-    if not any(successors):
-        return set()
-    return {rel for rel, succ in relations
-            if clashes_with_temporal(n, succ, successors)}
+    for tmask in range(1 << n * n):
+        yield tuple(tmask >> x * n & row for x in range(n))
 
 
 class _Choice(NamedTuple):
-    """One agent's choice in a candidate: a belief option with the tables
-    the compiled formula reads."""
+    """One agent's choice in a candidate: a KD45 belief relation with a
+    preference option, as the tables the compiled formula reads."""
 
-    relation: frozenset  # the KD45 belief relation
-    families: tuple      # per state: the preference family, as in a Model
-    believes: tuple      # pre-image table of the belief relation
-    prefers: dict        # member mask -> mask of the states whose family holds it
+    belief: tuple    # per state: belief successor mask
+    believes: tuple  # pre-image table of the belief relation
+    prefers: dict    # member mask -> mask of the states whose family holds it
 
 
 def sat_search(
@@ -230,18 +217,21 @@ def sat_search(
 
     explored = 0
     for n in range(1, max_states + 1):
-        relations, choices = _choices(n, needs_families)
-        temporals = (_temporal_relations(n) if needs_temporal
-                     else ((frozenset(), (0,) * n),))
+        choices = _choices(n, needs_families)
+        temporals = _temporal_relations(n) if needs_temporal else ((0,) * n,)
         fresh = _labelings(len(atoms), n)
         kept = []  # with several T, the labelings the first T's pass made
         if needs_temporal:
             fresh = _keeping(fresh, kept)
-        for temporal, successors in temporals:
-            clash = _clashing(relations, n, successors)
-            allowed = [c for c in choices if c.relation not in clash]
+        for successors in temporals:
+            # BX1 and BX2 reject no belief relation when T is empty (see
+            # the module docstring)
+            nonempty = any(successors)
+            allowed = [c for belief, group in choices
+                       if not (nonempty and clashes_with_temporal(n, belief, successors))
+                       for c in group]
             ex = _pre_image(successors)
-            for labels, atom_masks in kept or fresh:
+            for atom_masks in kept or fresh:
                 for combo in itertools.product(allowed, repeat=len(agents)):
                     explored += 1
                     if explored > budget:
@@ -250,22 +240,31 @@ def sat_search(
                         )
                     holds = _evaluate(program, atom_masks, ex, combo)
                     if holds:
-                        m = _witness(core, holds, atoms, agents, labels, temporal, combo)
+                        m = _witness(core, holds, atoms, agents, atom_masks, successors, combo)
                         witness = m.states[(holds & -holds).bit_length() - 1]
                         return SatResult("sat", m, witness, explored, bound, max_states)
     return SatResult("unsat-up-to", None, None, explored, bound, max_states)
 
 
-def _witness(core, holds, atoms, agents, labels, temporal, combo) -> Model:
-    """The candidate as a Model, validated and replayed with eval_formula."""
-    n = len(labels)
+def _witness(core, holds, atoms, agents, atom_masks, successors, combo) -> Model:
+    """The candidate decoded from its masks into a Model, validated and
+    replayed with eval_formula."""
+    n = len(successors)
+
+    def pairs(succ):
+        return frozenset((x, y) for x, s in enumerate(succ) for y in bits(s))
+
+    def families(prefers):
+        return tuple(frozenset(frozenset(bits(q)) for q, holders in prefers.items()
+                               if holders >> x & 1) for x in range(n))
+
     m = Model(
         states=tuple(f"s{i}" for i in range(n)), atoms=atoms, agents=agents,
-        labeling=tuple(frozenset(p for j, p in enumerate(atoms) if label >> j & 1)
-                       for label in labels),
-        temporal=temporal,
-        belief={a: c.relation for a, c in zip(agents, combo)},
-        pref={a: c.families for a, c in zip(agents, combo)},
+        labeling=tuple(frozenset(p for p, mask in zip(atoms, atom_masks) if mask >> x & 1)
+                       for x in range(n)),
+        temporal=pairs(successors),
+        belief={a: pairs(c.belief) for a, c in zip(agents, combo)},
+        pref={a: families(c.prefers) for a, c in zip(agents, combo)},
         intent={a: (frozenset(),) * n for a in agents},
     )
     report = validate_model(m)
@@ -354,14 +353,14 @@ def _pre_image(successors: tuple) -> tuple:
 
 def _labelings(k: int, n: int):
     """The sorted labelings of n states with k atoms, lazily, in the order
-    of combinations_with_replacement(range(2 ** k), n), which would first
-    copy all 2^k label masks: each as its per-state atom masks and its
+    of combinations_with_replacement(range(2 ** k), n) over the per-state
+    atom masks, which would first copy all 2^k of them: each as its
     per-atom state masks."""
     last = (1 << k) - 1
     labels = [0] * n
     while True:
-        yield tuple(labels), tuple(mask_of(x for x, label in enumerate(labels) if label >> j & 1)
-                                   for j in range(k))
+        yield tuple(mask_of(x for x, label in enumerate(labels) if label >> j & 1)
+                    for j in range(k))
         x = n - 1
         while x >= 0 and labels[x] == last:
             x -= 1
@@ -377,37 +376,27 @@ def _keeping(items, kept: list):
         yield item
 
 
-def _choices(n: int, needs_families: bool):
-    """_belief_options with each option's tables, as _Choice."""
-    relations, options = _belief_options(n, needs_families)
-    believes = {rel: _pre_image(succ) for rel, succ in relations}
-    cache = {}  # family -> its member masks, shared across options
-    return relations, [
-        _Choice(rel, fam, believes[rel], neighbourhoods(fam, cache).image)
-        for rel, fam in options
-    ]
-
-
-def _belief_options(n: int, needs_families: bool):
-    """One agent's choices at size n: the KD45 belief relations with their
-    successor masks, and the options, each a belief relation paired with,
-    when the formula mentions preference or intention, trace-determined
-    preference families constant on each belief cluster."""
-    relations = []
-    options = []
+def _choices(n: int, needs_families: bool) -> list:
+    """One agent's choices at size n: each KD45 belief relation with its
+    group of _Choice, one per preference option. When the formula mentions
+    preference or intention, the options are the trace-determined
+    preference families constant on each belief cluster; otherwise no
+    cluster gets a family, and the one option is the empty family."""
+    choices = []
     families = {}  # cluster -> its preference families, built on first use
-    for rel, assignment in _kd45_relations(n):
-        relations.append((rel, tuple(mask_of(k) for k in assignment)))
-        if not needs_families:
-            options.append((rel, (frozenset(),) * n))
-            continue
-        clusters = sorted(set(assignment), key=sorted)
+    for belief in _kd45_relations(n):
+        clusters = sorted(set(belief), key=lambda k: list(bits(k))) if needs_families else ()
         for k in clusters:
             if k not in families:
                 families[k] = list(_trace_families(k, n))
+        basins = [mask_of(x for x, c in enumerate(belief) if c == k) for k in clusters]
+        believes = _pre_image(belief)
+        group = []
         for choice in itertools.product(*(families[k] for k in clusters)):
-            fam_by_cluster = dict(zip(clusters, choice))
-            options.append(
-                (rel, tuple(fam_by_cluster[assignment[x]] for x in range(n)))
-            )
-    return relations, options
+            prefers = {}
+            for basin, family in zip(basins, choice):
+                for q in family:
+                    prefers[q] = prefers.get(q, 0) | basin
+            group.append(_Choice(belief, believes, prefers))
+        choices.append((belief, group))
+    return choices

@@ -2,8 +2,11 @@
 
 ``sat_search`` is the brute-force literal enumerator that ``satbound``
 reduces. ``model_per_candidate_search`` enumerates exactly the candidates
-of ``satbound.sat_search``, in the same order, but builds every candidate
-as a ``Model`` and checks it with ``eval_formula``.
+of ``satbound.sat_search``, in the same order, from satbound's own mask
+components, but decodes every candidate with the helpers here, builds it
+as a ``Model`` and checks it with ``eval_formula``. ``belief_options`` is
+the enumeration order of satbound's belief choices, built from the
+brute-force components, which pins that order.
 
 The brute-force search enumerates every labeling and every temporal relation at each size, and
 regenerates the KD45 relations and preference families for every
@@ -22,12 +25,11 @@ from bpictl.formula import (
     mentions_temporal,
     rewrite_derived,
 )
-from bpictl.frames import validate_model
+from bpictl.frames import clashes_with_temporal, validate_model
 from bpictl.model import Model, powerset
 from bpictl.satbound import (
     SatResult,
-    _belief_options,
-    _clashing,
+    _choices,
     _temporal_relations,
     closure_bound,
 )
@@ -119,6 +121,47 @@ def _belief_and_families(agents, n, needs_families):
         yield belief, fams
 
 
+def belief_options(n, needs_families):
+    """One agent's options at size n, in the order satbound enumerates
+    them: each KD45 relation paired with, when needs_families, the
+    cluster-constant trace-determined preference families, products over
+    the clusters in the order of their sorted members, kept when the
+    option is frame-valid (with an empty labeling and an empty T)."""
+    states = tuple(f"s{i}" for i in range(n))
+    empty = (frozenset(),) * n
+    options = []
+    for rel, assignment in _kd45_relations(n):
+        if not needs_families:
+            options.append((rel, empty))
+            continue
+        clusters = sorted(set(assignment), key=sorted)
+        for choice in itertools.product(
+            *(list(_trace_families(k, n)) for k in clusters)
+        ):
+            fam_by_cluster = dict(zip(clusters, choice))
+            fam = tuple(fam_by_cluster[assignment[x]] for x in range(n))
+            m = Model(states=states, atoms=("p",), agents=("a",),
+                      labeling=empty, belief={"a": rel}, temporal=frozenset(),
+                      pref={"a": fam}, intent={"a": empty})
+            if validate_model(m).passed:
+                options.append((rel, fam))
+    return options
+
+
+def pairs(successors):
+    """The relation of per-state successor masks, as (x, y) pairs."""
+    return frozenset((x, y) for x in range(len(successors))
+                     for y in range(len(successors)) if successors[x] >> y & 1)
+
+
+def families(prefers, n):
+    """Per state, the family of the member sets whose mask prefers maps to
+    a state mask holding that state."""
+    return tuple(frozenset(frozenset(y for y in range(n) if q >> y & 1)
+                           for q, holders in prefers.items() if holders >> x & 1)
+                 for x in range(n))
+
+
 def model_per_candidate_search(f, max_states, budget):
     """satbound.sat_search's enumeration with a Model and an eval_formula
     call per candidate: the same SatResult for the same arguments."""
@@ -137,12 +180,14 @@ def model_per_candidate_search(f, max_states, budget):
         intent = {a: (frozenset(),) * n for a in agents}
         labelings = [tuple(rows[i] for i in combo) for combo in
                      itertools.combinations_with_replacement(range(len(rows)), n)]
-        relations, options = _belief_options(n, needs_families)
-        temporals = (_temporal_relations(n) if needs_temporal
-                     else ((frozenset(), (0,) * n),))
-        for temporal, successors in temporals:
-            clash = _clashing(relations, n, successors)
-            allowed = [o for o in options if o[0] not in clash]
+        options = [(belief, [(pairs(c.belief), families(c.prefers, n)) for c in group])
+                   for belief, group in _choices(n, needs_families)]
+        temporals = _temporal_relations(n) if needs_temporal else ((0,) * n,)
+        for successors in temporals:
+            temporal = pairs(successors)
+            allowed = [o for belief, group in options
+                       if not clashes_with_temporal(n, belief, successors)
+                       for o in group]
             for labeling in labelings:
                 for combo in itertools.product(allowed, repeat=len(agents)):
                     explored += 1

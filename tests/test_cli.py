@@ -147,6 +147,115 @@ def test_sat_abort(capsys):
     assert "aborted" in capsys.readouterr().out
 
 
+# The whole report of searches that print a witness model, pinned byte for
+# byte: two belief clusters with preferences and T at 3 states, one cluster
+# with preferences at 3 states, two agents, two temporal searches, and a
+# 3-state belief witness.
+@pytest.mark.parametrize("formula, states, report", [
+    pytest.param("P{a} q & !B{a} p & !B{a} !p & EX(B{a} !q & P{a} p)", 3, (
+        "closure size 28, theoretical model bound 268435456\n"
+        "satisfiable, witness state s0 (5006 candidates)\n"
+        "states s0 s1 s2\n"
+        "atoms p q\n"
+        "agents a\n"
+        "label s0 = []\n"
+        "label s1 = [p]\n"
+        "label s2 = [p q]\n"
+        "RX s0 -> s1\n"
+        "RB a s0 -> s0\n"
+        "RB a s0 -> s2\n"
+        "RB a s1 -> s1\n"
+        "RB a s2 -> s0\n"
+        "RB a s2 -> s2\n"
+        "RP a s0 = { s1 s2 } { s2 }\n"
+        "RP a s1 = { s0 s1 } { s0 s1 s2 } { s1 } { s1 s2 }\n"
+        "RP a s2 = { s1 s2 } { s2 }\n"
+    ), id="two-clusters-pref-3"),
+    pytest.param("!p & B{a} p & P{a} q & !P{a} p", 3, (
+        "closure size 18, theoretical model bound 262144\n"
+        "satisfiable, witness state s0 (927 candidates)\n"
+        "states s0 s1 s2\n"
+        "atoms p q\n"
+        "agents a\n"
+        "label s0 = []\n"
+        "label s1 = [p]\n"
+        "label s2 = [p q]\n"
+        "RB a s0 -> s1\n"
+        "RB a s0 -> s2\n"
+        "RB a s1 -> s1\n"
+        "RB a s1 -> s2\n"
+        "RB a s2 -> s1\n"
+        "RB a s2 -> s2\n"
+        "RP a s0 = { s0 s2 } { s2 }\n"
+        "RP a s1 = { s0 s2 } { s2 }\n"
+        "RP a s2 = { s0 s2 } { s2 }\n"
+    ), id="one-cluster-pref-3"),
+    pytest.param("B{a} p & !B{b} p & P{b} q & !q", 2, (
+        "closure size 18, theoretical model bound 262144\n"
+        "satisfiable, witness state s0 (699 candidates)\n"
+        "states s0 s1\n"
+        "atoms p q\n"
+        "agents a b\n"
+        "label s0 = []\n"
+        "label s1 = [p q]\n"
+        "RB a s0 -> s1\n"
+        "RB a s1 -> s1\n"
+        "RB b s0 -> s0\n"
+        "RB b s0 -> s1\n"
+        "RB b s1 -> s0\n"
+        "RB b s1 -> s1\n"
+        "RP b s0 = { s1 }\n"
+        "RP b s1 = { s1 }\n"
+    ), id="two-agents-2"),
+    pytest.param("EX p & EX !p & B{a} EF q", 3, (
+        "closure size 17, theoretical model bound 131072\n"
+        "satisfiable, witness state s0 (108 candidates)\n"
+        "states s0 s1\n"
+        "atoms p q\n"
+        "agents a\n"
+        "label s0 = []\n"
+        "label s1 = [p q]\n"
+        "RX s0 -> s0\n"
+        "RX s0 -> s1\n"
+        "RB a s0 -> s0\n"
+        "RB a s1 -> s1\n"
+    ), id="temporal-3"),
+    pytest.param("!p & !q & B{a}(p | q) & !B{a} p & !B{a} q", 3, (
+        "closure size 24, theoretical model bound 16777216\n"
+        "satisfiable, witness state s0 (145 candidates)\n"
+        "states s0 s1 s2\n"
+        "atoms p q\n"
+        "agents a\n"
+        "label s0 = []\n"
+        "label s1 = [p]\n"
+        "label s2 = [q]\n"
+        "RB a s0 -> s1\n"
+        "RB a s0 -> s2\n"
+        "RB a s1 -> s1\n"
+        "RB a s1 -> s2\n"
+        "RB a s2 -> s1\n"
+        "RB a s2 -> s2\n"
+    ), id="belief-3"),
+    pytest.param("P{a} q & EX P{a} !q", 3, (
+        "closure size 11, theoretical model bound 2048\n"
+        "satisfiable, witness state s1 (140 candidates)\n"
+        "states s0 s1\n"
+        "atoms q\n"
+        "agents a\n"
+        "label s0 = []\n"
+        "label s1 = [q]\n"
+        "RX s1 -> s0\n"
+        "RB a s0 -> s0\n"
+        "RB a s1 -> s1\n"
+        "RP a s0 = { s0 } { s0 s1 }\n"
+        "RP a s1 = { s0 s1 } { s1 }\n"
+    ), id="temporal-pref-3"),
+])
+def test_sat_witness_reports_are_pinned(formula, states, report, capsys):
+    assert run(["sat", formula, "--max-states", str(states)]) == 0
+    assert capsys.readouterr().out == report
+
+
 def test_fmt_formula(tmp_path, capsys):
     f = tmp_path / "f.bpi"
     f.write_text("( p &   q )  # noise\n")

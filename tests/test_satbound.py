@@ -22,7 +22,7 @@ from bpictl.formula import (
 from bpictl.frames import check_condition, validate_model
 from bpictl.model import Model, bits, mask_of
 from bpictl.oracle import denote
-from bpictl.satbound import _belief_options, closure_bound, sat_search
+from bpictl.satbound import closure_bound, sat_search
 from bpictl.textio import parse_formula, render_formula
 
 from conftest import random_formula
@@ -112,23 +112,58 @@ def test_contradiction_candidate_counts(text, states, candidates):
 
 
 def test_labelings_come_in_combinations_with_replacement_order():
+    # each labeling is made as per-atom state masks; read back per state
     for k, n in itertools.product((1, 2, 3), (1, 2, 3, 4)):
-        made = [labels for labels, _ in satbound._labelings(k, n)]
+        made = [tuple(sum((mask >> x & 1) << j for j, mask in enumerate(atom_masks))
+                      for x in range(n))
+                for atom_masks in satbound._labelings(k, n)]
         assert made == list(itertools.combinations_with_replacement(range(1 << k), n))
 
 
 def test_kd45_relations_match_the_filter():
-    # built from clusters, in the order the reference's filter yields them
+    # built from clusters, in the order the reference's filter yields them:
+    # state x's successor mask is its cluster, and the masks decode to the
+    # relation's pairs
     for n in (1, 2, 3, 4):
-        assert satbound._kd45_relations(n) == list(reference._kd45_relations(n))
+        expected = list(reference._kd45_relations(n))
+        made = satbound._kd45_relations(n)
+        assert [tuple(map(mask_of, assignment)) for _, assignment in expected] == made
+        assert [rel for rel, _ in expected] == list(map(reference.pairs, made))
     assert len(satbound._kd45_relations(5)) == 552
+
+
+def _decoded_choices(n, needs_families):
+    """satbound._choices(n, needs_families) as (belief pairs, per-state
+    families) options, in order, each group under its own relation."""
+    options = []
+    for belief, group in satbound._choices(n, needs_families):
+        for c in group:
+            assert c.belief == belief
+            options.append((reference.pairs(belief), reference.families(c.prefers, n)))
+    return options
+
+
+@pytest.mark.parametrize("needs_families", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_choices_come_in_the_reference_order(n, needs_families):
+    # the model-per-candidate search reads satbound's own components, so
+    # only this comparison would catch a reordering of the options
+    assert _decoded_choices(n, needs_families) == reference.belief_options(n, needs_families)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_temporal_relations_come_in_bitmask_order(n):
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    expected = [frozenset(p for i, p in enumerate(pairs) if tmask >> i & 1)
+                for tmask in range(1 << len(pairs))]
+    assert list(map(reference.pairs, satbound._temporal_relations(n))) == expected
 
 
 @pytest.mark.parametrize("n, count", [(1, 2), (2, 14), (3, 115)])
 def test_every_preference_option_is_frame_valid(n, count):
     # no candidate is validated, so each option must be frame-valid alone;
     # the frame conditions read no labeling, and T is empty here
-    _, options = _belief_options(n, True)
+    options = _decoded_choices(n, True)
     assert len(options) == count
     states = tuple(f"s{i}" for i in range(n))
     empty = {"a": (frozenset(),) * n}
@@ -140,10 +175,11 @@ def test_every_preference_option_is_frame_valid(n, count):
 
 
 def test_an_invalid_witness_raises(monkeypatch, capsys):
-    # a family holding the empty set fails P4, and P{a} p then holds at a
-    # state where p is false: the first candidate satisfies the formula
+    # a family holding the empty set (member mask 0) fails P4, and P{a} p
+    # then holds at a state where p is false: the first candidate satisfies
+    # the formula
     monkeypatch.setattr(satbound, "_trace_families",
-                        lambda cluster, n: iter([frozenset({frozenset()})]))
+                        lambda cluster, n: iter([frozenset({0})]))
     with pytest.raises(RuntimeError, match="not frame-valid"):
         sat_search(parse_formula("P{a} p"), max_states=1)
     assert run(["sat", "P{a} p", "--max-states", "1"]) == 4
@@ -263,8 +299,8 @@ def _candidate_model(core, atom_masks, ex, combo) -> Model:
         labeling=tuple(frozenset(p for p, m in zip(atoms, atom_masks) if m >> x & 1)
                        for x in range(n)),
         temporal=frozenset((x, y) for y in range(n) for x in bits(ex[1 << y])),
-        belief={a: c.relation for a, c in zip(agents, combo)},
-        pref={a: c.families for a, c in zip(agents, combo)},
+        belief={a: reference.pairs(c.belief) for a, c in zip(agents, combo)},
+        pref={a: reference.families(c.prefers, n) for a, c in zip(agents, combo)},
         intent={a: (frozenset(),) * n for a in agents},
     )
 
